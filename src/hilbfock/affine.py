@@ -75,11 +75,6 @@ class WeightedPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, WeightedPoly) and self.terms == other.terms
 
-    def weight_component(self, n: int) -> "WeightedPoly":
-        return WeightedPoly(
-            {M: c for M, c in self.terms.items() if mono_weight(M) == n}
-        )
-
     def __repr__(self) -> str:
         if not self.terms:
             return "WeightedPoly(0)"

@@ -44,7 +44,8 @@ from .verify import SUITES, UnknownSuite, run_suite
 
 Q = Fraction
 
-#: Refuse computations whose weight-graded basis would exceed this size.
+#: Refuse computations beyond this weight n (the number of points of the
+#: Hilbert scheme), which the ``--max-weight`` guard compares against.
 DEFAULT_MAX_WEIGHT = 12
 
 
@@ -98,7 +99,9 @@ def parse_bundle(text: str, model) -> KClassSpec:
     raise UsageError("malformed bundle literal: %r" % text)
 
 
-def _check_weight(n: int, model, max_weight: int) -> None:
+def _check_weight(n: int, max_weight: int, least: int = 0) -> None:
+    if n < least:
+        raise UsageError("weight %d is below the least allowed (%d)" % (n, least))
     if n > max_weight:
         raise UsageError(
             "weight %d exceeds the --max-weight guard (%d)" % (n, max_weight)
@@ -156,6 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n is not None:
+        _check_weight(args.max_n, args.max_weight, least=1)
     report = run_suite(args.suite, max_n=args.max_n, seed=args.seed)
     _emit(
         "verify",
@@ -167,7 +172,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_segre(args) -> int:
-    _check_weight(args.n, None, args.max_weight)
+    _check_weight(args.n, args.max_weight)
     if args.symbolic:
         sampler = Sampler(args.cache)
         poly = segre_polynomial(args.n, sampler, jobs=args.jobs)
@@ -189,7 +194,7 @@ def _cmd_segre(args) -> int:
 
 
 def _cmd_dm(args) -> int:
-    _check_weight(args.max_m, None, args.max_weight)
+    _check_weight(args.max_m, args.max_weight)
     sampler = Sampler(args.cache)
     symbolic_up_to = min(args.max_m, 5)
     polys = [segre_polynomial(n, sampler, jobs=args.jobs) for n in range(symbolic_up_to + 1)]
@@ -216,7 +221,7 @@ def _cmd_dm(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    _check_weight(args.n_max, None, args.max_weight)
+    _check_weight(args.n_max, args.max_weight)
     sampler = Sampler(args.cache)
     from .segre import check_conjecture
 
@@ -250,7 +255,7 @@ def _render_chern(v, n: int) -> str:
 
 
 def _cmd_chern(args) -> int:
-    _check_weight(args.n, None, args.max_weight)
+    _check_weight(args.n, args.max_weight)
     model = new_model(args.d, args.pi, args.kappa, args.b2_extra)
     u = parse_bundle(args.bundle, model)
     engine = OperatorEngine(model)

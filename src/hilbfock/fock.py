@@ -10,7 +10,7 @@ The bidegree of a factor is ``(index, 2*index - 2 + deg(symbol))``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .surface import CohClass, SurfaceModel, _rat, _sym_rank
 
@@ -95,11 +95,6 @@ class FockVector:
     def coefficient(self, M: Monomial) -> Q:
         return self.terms.get(M, Q(0))
 
-    def weight_component(self, n: int) -> "FockVector":
-        return FockVector(
-            {M: c for M, c in self.terms.items() if mono_weight(M) == n}
-        )
-
     def max_weight(self) -> int:
         return max((mono_weight(M) for M in self.terms), default=0)
 
@@ -136,49 +131,55 @@ def render_vector(v: FockVector) -> str:
     return "".join(parts)
 
 
+def q_mono(m: int, sym: str, M: Monomial, model: SurfaceModel) -> Dict[Monomial, Q]:
+    """The oscillator q_m(sym) on one monomial, as ``{monomial: coefficient}``.
+
+    For m > 0 it inserts a creation factor.  For m = -n < 0, removing a
+    factor q_n(s) contributes the contraction coefficient
+    ``-n * (sym.s integrated over the surface)``.  q_0 is zero.
+    """
+    if m > 0:
+        return {mono_insert(M, m, sym): Q(1)}
+    out: Dict[Monomial, Q] = {}
+    n = -m
+    for j, (i, s) in enumerate(M):
+        if i != n:
+            continue
+        c = model.pair_sym(sym, s)
+        if c:
+            M2 = M[:j] + M[j + 1:]
+            out[M2] = out.get(M2, Q(0)) - n * c
+    return out
+
+
+def _q_terms(
+    m: int, a: CohClass, terms: Mapping[Monomial, Q], model: SurfaceModel
+) -> Dict[Monomial, Q]:
+    data: Dict[Monomial, Q] = {}
+    for sym, ca in a.coeff.items():
+        for M, c in terms.items():
+            for M2, x in q_mono(m, sym, M, model).items():
+                data[M2] = data.get(M2, Q(0)) + x * c * ca
+    return data
+
+
 def create(n: int, a: CohClass, v: FockVector, model: SurfaceModel) -> FockVector:
     """Apply the creation operator q_n(a), n >= 1."""
     if n < 1:
         raise ValueError("creation index must be positive")
-    data: Dict[Monomial, Q] = {}
-    for sym, ca in a.coeff.items():
-        for M, c in v.terms.items():
-            M2 = mono_insert(M, n, sym)
-            data[M2] = data.get(M2, Q(0)) + c * ca
-    return FockVector(data)
+    return q_op(n, a, v, model)
 
 
 def annihilate(n: int, a: CohClass, v: FockVector, model: SurfaceModel) -> FockVector:
-    """Apply the annihilation operator q_{-n}(a), n >= 1.
-
-    Removing a factor q_m(b) contributes the contraction coefficient
-    ``-n * (a.b integrated over the surface)`` when m == n.
-    """
+    """Apply the annihilation operator q_{-n}(a), n >= 1."""
     if n < 1:
         raise ValueError("annihilation index must be positive")
-    data: Dict[Monomial, Q] = {}
-    pair = model.pair_sym
-    for M, c in v.terms.items():
-        for j, (m, s) in enumerate(M):
-            if m != n:
-                continue
-            coeff = Q(0)
-            for sym, ca in a.coeff.items():
-                coeff += ca * pair(sym, s)
-            if not coeff:
-                continue
-            M2 = M[:j] + M[j + 1:]
-            data[M2] = data.get(M2, Q(0)) - n * coeff * c
-    return FockVector(data)
+    return q_op(-n, a, v, model)
 
 
 def q_op(m: int, a: CohClass, v: FockVector, model: SurfaceModel) -> FockVector:
     """The signed oscillator q_m(a); q_0 = 0 by convention."""
-    if m > 0:
-        return create(m, a, v, model)
-    if m < 0:
-        return annihilate(-m, a, v, model)
-    return FockVector()
+    return FockVector(_q_terms(m, a, v.terms, model))
 
 
 def pairing(v: FockVector, w: FockVector, model: SurfaceModel) -> Q:
@@ -194,8 +195,8 @@ def pairing(v: FockVector, w: FockVector, model: SurfaceModel) -> Q:
         for n, s in M:
             if not cur:
                 break
-            cur = annihilate(n, CohClass({s: 1}), FockVector(cur), model).terms
-        vac = cur.get((), Q(0)) if cur else Q(0)
+            cur = _q_terms(-n, CohClass({s: 1}), cur, model)
+        vac = cur.get((), Q(0))
         if vac:
             total += (Q(-1) ** wt) * c * vac
     return total
@@ -213,24 +214,36 @@ def integrate_hilb(v: FockVector, n: int, model: SurfaceModel) -> Q:
     return v.terms.get(M, Q(0))
 
 
+def monomials(model: SurfaceModel, max_weight: int) -> List[Monomial]:
+    """All canonical monomials of weight up to max_weight.
+
+    Depth-first: each monomial is followed by its extensions, which append
+    factors no earlier than its last one in the canonical factor order.
+    """
+    factors = sorted(
+        ((m, s) for m in range(1, max_weight + 1) for s in model.symbols),
+        key=_factor_key,
+    )
+    out: List[Monomial] = [()]
+
+    def extend(M: Monomial, w: int, start: int) -> None:
+        for idx in range(start, len(factors)):
+            f = factors[idx]
+            if w + f[0] <= max_weight:
+                M2 = M + (f,)
+                out.append(M2)
+                extend(M2, w + f[0], idx)
+
+    extend((), 0, 0)
+    return out
+
+
 def dimension(n: int, i: int, model: SurfaceModel) -> int:
     """Number of canonical monomials of weight n and cohomological degree i."""
     if n < 0:
         return 0
-    table = _dimension_table(n, model)
-    return table.get((n, i), 0)
-
-
-def _dimension_table(n: int, model: SurfaceModel) -> Dict[Tuple[int, int], int]:
-    # Unbounded knapsack over the factor alphabet (m, symbol), m <= n.
-    dp: Dict[Tuple[int, int], int] = {(0, 0): 1}
-    for m in range(1, n + 1):
-        for sym in model.symbols:
-            dg = 2 * m - 2 + model.degree[sym]
-            # iterate in increasing weight so multiples accumulate
-            for w in range(m, n + 1):
-                for (ww, ii), cnt in sorted(dp.items()):
-                    if ww == w - m:
-                        key = (w, ii + dg)
-                        dp[key] = dp.get(key, 0) + cnt
-    return dp
+    return sum(
+        1
+        for M in monomials(model, n)
+        if mono_weight(M) == n and mono_degree(M, model) == i
+    )

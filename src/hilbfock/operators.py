@@ -23,8 +23,8 @@ from .fock import (
     FockVector,
     Monomial,
     mono_degree,
-    mono_insert,
     mono_weight,
+    q_mono,
     vacuum,
 )
 from .surface import CohClass, KClassSpec, SurfaceModel
@@ -71,26 +71,8 @@ class OperatorEngine:
     def _q_mono(self, m: int, sym: str, M: Monomial) -> Vec:
         key = (m, sym, M)
         out = self._q_cache.get(key)
-        if out is not None:
-            return out
-        if m > 0:
-            out = {mono_insert(M, m, sym): Q(1)}
-        elif m < 0:
-            n = -m
-            pair = self.model.pair_sym
-            out = {}
-            for j, (i, s) in enumerate(M):
-                if i != n:
-                    continue
-                c = pair(sym, s)
-                if not c:
-                    continue
-                M2 = M[:j] + M[j + 1:]
-                out[M2] = out.get(M2, Q(0)) - n * c
-            out = {M2: c for M2, c in out.items() if c}
-        else:
-            out = {}
-        self._q_cache[key] = out
+        if out is None:
+            out = self._q_cache[key] = q_mono(m, sym, M, self.model)
         return out
 
     def _q_vec(self, m: int, sym: str, v: Vec) -> Vec:

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fock import integrate_hilb, vacuum
+from .fock import integrate_hilb
 from .operators import OperatorEngine
 from .series import PowerSeries
 from .surface import CohClass, KClassSpec, SurfaceModel, new_model
@@ -162,14 +162,10 @@ def minus_polarization(model: SurfaceModel) -> KClassSpec:
 
 def segre_series(n_max: int, model: SurfaceModel) -> List[Q]:
     """The numbers N_0 .. N_{n_max} for one surface model."""
-    engine = OperatorEngine(model)
-    u = minus_polarization(model)
-    out = [Q(1)]
-    v = vacuum()
-    for j in range(1, n_max + 1):
-        v = engine.big_c_apply(u, v, 4 * j).scale(Q(1, j))
-        out.append(integrate_hilb(v, j, model))
-    return out
+    comps = OperatorEngine(model).total_chern_classes(
+        minus_polarization(model), n_max
+    )
+    return [integrate_hilb(v, j, model) for j, v in enumerate(comps)]
 
 
 def segre_number(n: int, model: SurfaceModel) -> Q:
@@ -187,9 +183,11 @@ class Sampler:
 
     The optional cache file is append-only JSON lines; the first line is a
     header recording the engine version, and each record stores one value
-    with all rationals as canonical ``p/q`` strings.  A header mismatch
-    invalidates the file.  The path may also come from the ``HILB_CACHE``
-    environment variable.
+    with all rationals as canonical ``p/q`` strings.  A file whose header
+    is unreadable or names another engine version is not loaded, and is
+    rewritten with a fresh header before the first new record, so that new
+    records are not appended below the stale header and lost on reload.
+    The path may also come from the ``HILB_CACHE`` environment variable.
     """
 
     def __init__(self, cache_path: Optional[str] = None):
@@ -197,6 +195,7 @@ class Sampler:
             cache_path = os.environ.get("HILB_CACHE") or None
         self.cache_path = cache_path
         self._mem: Dict[Tuple[int, Params], Q] = {}
+        self._stale = False
         if cache_path:
             self._load()
 
@@ -208,13 +207,15 @@ class Sampler:
             return
         with open(path) as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        if not lines:
-            return
         try:
-            header = json.loads(lines[0])
+            header = json.loads(lines[0]) if lines else None
         except json.JSONDecodeError:
-            return
-        if header.get("engine_version") != ENGINE_VERSION:
+            header = None
+        if (
+            not isinstance(header, dict)
+            or header.get("engine_version") != ENGINE_VERSION
+        ):
+            self._stale = True
             return
         for ln in lines[1:]:
             try:
@@ -235,8 +236,11 @@ class Sampler:
         path = self.cache_path
         if not path:
             return
-        fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-        with open(path, "a") as fh:
+        fresh = (
+            self._stale or not os.path.exists(path) or os.path.getsize(path) == 0
+        )
+        with open(path, "w" if self._stale else "a") as fh:
+            self._stale = False
             if fresh:
                 fh.write(json.dumps({"engine_version": ENGINE_VERSION}) + "\n")
             d, pi, kappa, b2 = params

@@ -312,18 +312,11 @@ class KClassSpec:
     def line_bundle(cls, c1: CohClass) -> "KClassSpec":
         return cls(1, c1, CohClass())
 
-    @classmethod
-    def trivial(cls, rank: int = 1) -> "KClassSpec":
-        return cls(rank, CohClass(), CohClass())
-
     def negate(self, model: SurfaceModel) -> "KClassSpec":
         # Chern classes of -u: c1 -> -c1, c2 -> c1^2 - c2.
         return KClassSpec(
             -self.rank, -self.c1, model.mul(self.c1, self.c1) - self.c2
         )
-
-    def __add__(self, other: "KClassSpec"):
-        raise TypeError("sums of K-classes need a model; use add(model, other)")
 
     def add(self, model: SurfaceModel, other: "KClassSpec") -> "KClassSpec":
         return KClassSpec(

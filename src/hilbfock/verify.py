@@ -1,30 +1,35 @@
-"""Verification suites for the operator calculus.
+"""Verification suites for the operator calculus, shared between the
+command line interface and the acceptance tests.
 
-Each suite checks one family of structural identities with exact rational
-arithmetic and returns a report dictionary with the number of checks, a
-pass flag, and the first counterexample found (if any).  The suites are
-shared between the command line interface and the acceptance tests.
+Each suite is a generator of cases ``(lhs, rhs, counterexample)`` for one
+family of identities in exact arithmetic, and :func:`_suite` turns it into
+a function that returns the report of :func:`_run`.  The runner counts
+every case it evaluates as one check and stops at the first case with
+``lhs != rhs``.  The report gives the suite name, the number of checks, a
+pass flag and the counterexample dict of that case (None if there is
+none).  A suite that made no check does not pass.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import comb, factorial
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence
+from typing import Tuple
 
-from . import affine
-from .fock import (
-    FockVector,
-    Monomial,
-    dimension,
-    mono_weight,
-    pairing,
-    vacuum,
-)
+from . import affine, fock
+from .fock import FockVector, Monomial, dimension, mono_weight, pairing, vacuum
 from .operators import OperatorEngine
-from .segre import Sampler, segre_polynomial
-from .series import PowerSeries
+from .segre import (
+    Sampler,
+    UnivPoly,
+    _alpha_class,
+    minus_polarization,
+    segre_polynomial,
+)
 from .surface import CohClass, KClassSpec, SurfaceModel, new_model
 
 Q = Fraction
@@ -34,64 +39,48 @@ DEFAULT_MODELS: Tuple[Tuple[int, int, int, int], ...] = (
     (2, 1, -1, 1),
 )
 
-SUITES = (
-    "oscillator",
-    "virasoro",
-    "derivative",
-    "e-op",
-    "vertex-integral",
-    "goettsche-dim",
-    "chern-line",
-    "pairing",
-    "affine",
-    "worked-example",
-)
+Case = Tuple[object, object, dict]
 
 
 class UnknownSuite(ValueError):
     """The requested verification suite does not exist."""
 
 
-def _models(params=DEFAULT_MODELS) -> List[SurfaceModel]:
-    return [new_model(*p) for p in params]
-
-
-def _report(name: str, checks: int, counterexample=None) -> dict:
+def _run(name: str, cases: Iterable[Case]) -> dict:
+    """Count and compare the cases of one suite; stop at the first mismatch."""
+    checks = 0
+    counterexample = None
+    for lhs, rhs, where in cases:
+        checks += 1
+        if lhs != rhs:
+            counterexample = where
+            break
     return {
         "suite": name,
         "checks": checks,
-        "pass": counterexample is None,
+        "pass": counterexample is None and checks > 0,
         "counterexample": counterexample,
     }
 
 
-def _all_monomials(model: SurfaceModel, max_weight: int) -> List[Monomial]:
-    """All canonical monomials of weight up to max_weight."""
-    out: List[Monomial] = [()]
-    factors = [
-        (m, s) for m in range(1, max_weight + 1) for s in model.symbols
-    ]
+def _suite(name: str):
+    """Turn a generator of cases into a suite that returns its report; the
+    suite keeps the generator's name, docstring and parameters."""
 
-    def key(f):
-        from .fock import _factor_key
+    def decorate(cases: Callable[..., Iterator[Case]]) -> Callable[..., dict]:
+        @functools.wraps(cases)
+        def suite(*args, **kwargs) -> dict:
+            return _run(name, cases(*args, **kwargs))
 
-        return _factor_key(f)
+        return suite
 
-    def extend(M: Monomial, start: int):
-        w = mono_weight(M)
-        for idx in range(start, len(factors)):
-            f = factors[idx]
-            if w + f[0] > max_weight:
-                continue
-            M2 = M + (f,)
-            out.append(M2)
-            extend(M2, idx)
+    return decorate
 
-    ordered = sorted(factors, key=key)
-    # rebuild with sorted factor list so concatenation stays canonical
-    factors = ordered
-    extend((), 0)
-    return out
+
+def _engines(model_params):
+    for mp in model_params:
+        model = new_model(*mp)
+        yield mp, model, OperatorEngine(model)
 
 
 def random_vector(
@@ -100,86 +89,85 @@ def random_vector(
     max_weight: int,
     n_terms: int = 3,
 ) -> FockVector:
-    monos = _all_monomials(model, max_weight)
+    return _random_vector(fock.monomials(model, max_weight), rng, n_terms)
+
+
+def _random_vector(basis, rng, n_terms=3) -> FockVector:
     data = {}
     for _ in range(n_terms):
-        M = rng.choice(monos)
+        M = rng.choice(basis)
         c = Q(rng.randint(-5, 5), rng.randint(1, 4))
         if c:
             data[M] = data.get(M, Q(0)) + c
     return FockVector(data)
 
 
+def _unit_vectors(basis, fields) -> Iterator[Tuple[FockVector, dict]]:
+    for M in basis:
+        yield FockVector({M: 1}), dict(fields, monomial=list(M))
+
+
+def _bracket(model, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
+    """Cases of ``[A_n(a), B_m(b)] v = rhs(n, m, ab, v)`` for n in ns and m
+    in ms, where a and b run over the basis classes of the model and ab is
+    their product.  ``A(n, a, v)`` and ``B(m, b, v)`` apply the operators.
+
+    ``vectors`` yields pairs ``(v, fields)``; a counterexample is ``fields``
+    with n, m, a and b added.  Each A_n(a) v and B_m(b) v is computed once
+    per vector.
+    """
+    basis = [(s, CohClass({s: 1})) for s in model.symbols]
+    prod = {(sa, sb): model.mul(a, b) for sa, a in basis for sb, b in basis}
+    for v, fields in vectors:
+        Av = {(n, sa): A(n, a, v) for n in ns for sa, a in basis}
+        Bv = {(m, sb): B(m, b, v) for m in ms for sb, b in basis}
+        for n in ns:
+            for m in ms:
+                for sa, a in basis:
+                    for sb, b in basis:
+                        lhs = A(n, a, Bv[m, sb]) - B(m, b, Av[n, sa])
+                        where = dict(fields, n=n, m=m, a=sa, b=sb)
+                        yield lhs, rhs(n, m, prod[sa, sb], v), where
+
+
 # -- oscillator commutation relations --------------------------------------
 
+@_suite("oscillator")
 def suite_oscillator(
     max_n: int = 4,
     seed: int = 1,
     n_vectors: int = 200,
     max_weight: int = 6,
     model_params=DEFAULT_MODELS,
-) -> dict:
+) -> Iterator[Case]:
     """[q_n(a), q_m(b)] = n delta_{n+m,0} (a.b) id, on random vectors."""
-    checks = 0
-    for mp in model_params:
-        model = new_model(*mp)
-        eng = OperatorEngine(model)
+    idx = [i for i in range(-max_n, max_n + 1) if i != 0]
+    for mp, model, eng in _engines(model_params):
         rng = random.Random(seed)
-        vectors = [
-            random_vector(model, rng, max_weight) for _ in range(n_vectors)
-        ]
-        syms = model.symbols
-        indices = [i for i in range(-max_n, max_n + 1) if i != 0]
-        classes = {s: CohClass({s: 1}) for s in syms}
-        for v in vectors:
-            first = {
-                (i, s): eng.q(i, classes[s], v)
-                for i in indices
-                for s in syms
-            }
-            for (m, sb), w1 in first.items():
-                b = classes[sb]
-                for n in indices:
-                    for sa in syms:
-                        lhs = eng.q(n, classes[sa], w1) - eng.q(
-                            m, b, first[(n, sa)]
-                        )
-                        if n + m == 0:
-                            rhs = v.scale(n * model.pair_sym(sa, sb))
-                        else:
-                            rhs = FockVector()
-                        checks += 1
-                        if lhs != rhs:
-                            return _report(
-                                "oscillator",
-                                checks,
-                                {
-                                    "model": mp,
-                                    "n": n,
-                                    "m": m,
-                                    "a": sa,
-                                    "b": sb,
-                                },
-                            )
+        basis = fock.monomials(model, max_weight)
+        vectors = [_random_vector(basis, rng) for _ in range(n_vectors)]
+
+        def rhs(n, m, ab, v):
+            if n + m:
+                return FockVector()
+            return v.scale(n * model.integrate(ab))
+
+        vs = [(v, {"model": mp}) for v in vectors]
+        yield from _bracket(model, vs, eng.q, eng.q, idx, idx, rhs)
         # q_0 vanishes identically
         z = eng.q(0, model.unit(), vectors[0])
-        checks += 1
-        if not z.is_zero():
-            return _report("oscillator", checks, {"model": mp, "n": 0})
-    return _report("oscillator", checks)
+        yield z, FockVector(), {"model": mp, "n": 0}
 
 
 # -- graded pairing --------------------------------------------------------
 
+@_suite("pairing")
 def suite_pairing(
     n_max: int = 8, max_weight: int = 4, seed: int = 2,
     model_params=DEFAULT_MODELS,
-) -> dict:
+) -> Iterator[Case]:
     """Sign normalization and adjointness of the pairing."""
-    checks = 0
-    for mp in model_params:
-        model = new_model(*mp)
-        eng = OperatorEngine(model)
+    for mp, model, eng in _engines(model_params):
         one = model.unit()
         pt = model.point()
         for n in range(1, n_max + 1):
@@ -187,275 +175,147 @@ def suite_pairing(
                 eng.q(n, pt, vacuum()), eng.q(n, one, vacuum()), model
             )
             want = Q((-1) ** (n - 1) * n)
-            checks += 1
-            if got != want:
-                return _report(
-                    "pairing", checks, {"model": mp, "n": n, "got": str(got)}
-                )
+            yield got, want, {"model": mp, "n": n, "got": str(got)}
         # adjointness: <q_n(a) v, w> = (-1)^n <v, q_{-n}(a) w>
         rng = random.Random(seed)
+        basis_v = fock.monomials(model, max_weight)
+        basis_w = fock.monomials(model, max_weight + 1)
         for _ in range(10):
-            v = random_vector(model, rng, max_weight)
-            w = random_vector(model, rng, max_weight + 1)
+            v = _random_vector(basis_v, rng)
+            w = _random_vector(basis_w, rng)
             for n in (1, 2, 3):
                 for sym in model.symbols:
                     a = CohClass({sym: 1})
                     lhs = pairing(eng.q(n, a, v), w, model)
                     rhs = Q(-1) ** n * pairing(v, eng.q(-n, a, w), model)
-                    checks += 1
-                    if lhs != rhs:
-                        return _report(
-                            "pairing", checks, {"model": mp, "n": n, "a": sym}
-                        )
-    return _report("pairing", checks)
+                    yield lhs, rhs, {"model": mp, "n": n, "a": sym}
 
 
 # -- Virasoro relations ----------------------------------------------------
 
+@_suite("virasoro")
 def suite_virasoro(
     max_n: int = 2,
     max_weight: int = 4,
     model_params=DEFAULT_MODELS,
     monomials: Optional[Sequence[Monomial]] = None,
-) -> dict:
+) -> Iterator[Case]:
     """[L_n(a), q_m(b)] = -m q_{n+m}(ab) and the central Virasoro relation."""
-    checks = 0
-    for mp in model_params:
-        model = new_model(*mp)
-        eng = OperatorEngine(model)
-        monos = (
+    ns = list(range(-max_n, max_n + 1))
+    ms = [i for i in ns if i != 0]
+    for mp, model, eng in _engines(model_params):
+        basis = (
             list(monomials)
             if monomials is not None
-            else _all_monomials(model, max_weight)
+            else fock.monomials(model, max_weight)
         )
-        vectors = [FockVector({M: 1}) for M in monos]
-        syms = model.symbols
-        ns = list(range(-max_n, max_n + 1))
-        ms = [i for i in ns if i != 0]
-        for v in vectors:
-            for n in ns:
-                for m in ms:
-                    for sa in syms:
-                        a = CohClass({sa: 1})
-                        for sb in syms:
-                            b = CohClass({sb: 1})
-                            lhs = eng.virasoro(n, a, eng.q(m, b, v)) - eng.q(
-                                m, b, eng.virasoro(n, a, v)
-                            )
-                            ab = model.mul(a, b)
-                            rhs = eng.q(n + m, ab, v).scale(-m)
-                            checks += 1
-                            if lhs != rhs:
-                                return _report(
-                                    "virasoro",
-                                    checks,
-                                    {
-                                        "model": mp,
-                                        "relation": "Lq",
-                                        "n": n,
-                                        "m": m,
-                                        "a": sa,
-                                        "b": sb,
-                                        "monomial": list(v.terms),
-                                    },
-                                )
-            for n in ns:
-                for m in ns:
-                    for sa in syms:
-                        a = CohClass({sa: 1})
-                        for sb in syms:
-                            b = CohClass({sb: 1})
-                            lhs = eng.virasoro(
-                                n, a, eng.virasoro(m, b, v)
-                            ) - eng.virasoro(m, b, eng.virasoro(n, a, v))
-                            ab = model.mul(a, b)
-                            rhs = eng.virasoro(n + m, ab, v).scale(n - m)
-                            if n + m == 0:
-                                # central term integrating c_2(X) a b,
-                                # with c_2(X) = e * pt
-                                c2ab = model.integrate(
-                                    model.mul(model.c2_class(), ab)
-                                )
-                                rhs = rhs + v.scale(-Q(n**3 - n, 12) * c2ab)
-                            checks += 1
-                            if lhs != rhs:
-                                return _report(
-                                    "virasoro",
-                                    checks,
-                                    {
-                                        "model": mp,
-                                        "relation": "LL",
-                                        "n": n,
-                                        "m": m,
-                                        "a": sa,
-                                        "b": sb,
-                                        "monomial": list(v.terms),
-                                    },
-                                )
-    return _report("virasoro", checks)
+        c2 = model.c2_class()
+
+        def lq(n, m, ab, v):
+            return eng.q(n + m, ab, v).scale(-m)
+
+        def ll(n, m, ab, v):
+            out = eng.virasoro(n + m, ab, v).scale(n - m)
+            if n + m == 0:
+                # central term integrating c_2(X) a b, with c_2(X) = e * pt
+                c2ab = model.integrate(model.mul(c2, ab))
+                out = out + v.scale(-Q(n**3 - n, 12) * c2ab)
+            return out
+
+        for relation, B, bs, rhs in (
+            ("Lq", eng.q, ms, lq),
+            ("LL", eng.virasoro, ns, ll),
+        ):
+            vs = _unit_vectors(basis, {"model": mp, "relation": relation})
+            yield from _bracket(model, vs, eng.virasoro, B, ns, bs, rhs)
 
 
 # -- boundary derivative ---------------------------------------------------
 
+@_suite("derivative")
 def suite_derivative(
     max_n: int = 3,
     max_weight: int = 5,
     seed: int = 3,
     sample: int = 60,
     model_params=DEFAULT_MODELS,
-) -> dict:
+) -> Iterator[Case]:
     """The commutator of derivatives of oscillators, with the K-correction:
 
     [q_n'(a), q_m(b)] = -n m (q_{n+m}(ab) + (|n|-1)/2 delta_{n+m} (K a b) id)
     """
-    checks = 0
-    for mp in model_params:
-        model = new_model(*mp)
-        eng = OperatorEngine(model)
-        monos = _all_monomials(model, max_weight)
+    idx = [i for i in range(-max_n, max_n + 1) if i != 0]
+    for mp, model, eng in _engines(model_params):
+        basis = fock.monomials(model, max_weight)
         rng = random.Random(seed)
-        low = [M for M in monos if mono_weight(M) <= 2]
-        high = [M for M in monos if mono_weight(M) > 2]
+        low = [M for M in basis if mono_weight(M) <= 2]
+        high = [M for M in basis if mono_weight(M) > 2]
         chosen = low + rng.sample(high, min(sample, len(high)))
-        syms = model.symbols
         K = model.canonical_class()
-        idx = [i for i in range(-max_n, max_n + 1) if i != 0]
-        for M in chosen:
-            v = FockVector({M: 1})
-            for n in idx:
-                for m in idx:
-                    for sa in syms:
-                        a = CohClass({sa: 1})
-                        qa = lambda w: eng.q_derivative(n, 1, a, w)
-                        for sb in syms:
-                            b = CohClass({sb: 1})
-                            lhs = qa(eng.q(m, b, v)) - eng.q(m, b, qa(v))
-                            ab = model.mul(a, b)
-                            rhs = eng.q(n + m, ab, v).scale(-n * m)
-                            if n + m == 0:
-                                kab = model.integrate(model.mul(K, ab))
-                                rhs = rhs + v.scale(
-                                    -Q(n * m) * Q(abs(n) - 1, 2) * kab
-                                )
-                            checks += 1
-                            if lhs != rhs:
-                                return _report(
-                                    "derivative",
-                                    checks,
-                                    {
-                                        "model": mp,
-                                        "n": n,
-                                        "m": m,
-                                        "a": sa,
-                                        "b": sb,
-                                        "monomial": list(M),
-                                    },
-                                )
+
+        def q_prime(n, a, v):
+            return eng.q_derivative(n, 1, a, v)
+
+        def rhs(n, m, ab, v):
+            out = eng.q(n + m, ab, v).scale(-n * m)
+            if n + m == 0:
+                kab = model.integrate(model.mul(K, ab))
+                out = out + v.scale(-Q(n * m) * Q(abs(n) - 1, 2) * kab)
+            return out
+
+        vs = _unit_vectors(chosen, {"model": mp})
+        yield from _bracket(model, vs, q_prime, eng.q, idx, idx, rhs)
         # Leibniz rule for the boundary operator on a sample of products
         for _ in range(20):
-            M = rng.choice(monos)
+            M = rng.choice(basis)
             n = rng.choice([1, 2, 3])
-            sym = rng.choice(syms)
+            sym = rng.choice(model.symbols)
             a = CohClass({sym: 1})
             v = FockVector({M: 1})
             lhs = eng.boundary(eng.q(n, a, v))
-            rhs = eng.q_derivative(n, 1, a, v) + eng.q(n, a, eng.boundary(v))
-            checks += 1
-            if lhs != rhs:
-                return _report(
-                    "derivative",
-                    checks,
-                    {"model": mp, "leibniz": True, "n": n, "a": sym},
-                )
-    return _report("derivative", checks)
+            want = q_prime(n, a, v) + eng.q(n, a, eng.boundary(v))
+            yield lhs, want, {"model": mp, "leibniz": True, "n": n, "a": sym}
 
 
 # -- truncated quadratic operators -----------------------------------------
 
+@_suite("e-op")
 def suite_e_op(
     max_weight: int = 4, model_params=DEFAULT_MODELS
-) -> dict:
+) -> Iterator[Case]:
     """[e_n(a), q_m(b)] = m q_{n+m}(ab) for m > 0 or m < -n, else zero."""
-    checks = 0
-    for mp in model_params:
-        model = new_model(*mp)
-        eng = OperatorEngine(model)
-        monos = _all_monomials(model, max_weight)
-        syms = model.symbols
-        for M in monos:
-            v = FockVector({M: 1})
-            for n in (0, 1, 2, 3):
-                for m in [i for i in range(-4, 4) if i != 0]:
-                    for sa in syms:
-                        a = CohClass({sa: 1})
-                        for sb in syms:
-                            b = CohClass({sb: 1})
-                            lhs = eng.e_op(n, a, eng.q(m, b, v)) - eng.q(
-                                m, b, eng.e_op(n, a, v)
-                            )
-                            if m > 0 or m < -n:
-                                ab = model.mul(a, b)
-                                rhs = eng.q(n + m, ab, v).scale(m)
-                            else:
-                                rhs = FockVector()
-                            checks += 1
-                            if lhs != rhs:
-                                return _report(
-                                    "e-op",
-                                    checks,
-                                    {
-                                        "model": mp,
-                                        "n": n,
-                                        "m": m,
-                                        "a": sa,
-                                        "b": sb,
-                                        "monomial": list(M),
-                                    },
-                                )
-    return _report("e-op", checks)
+    ns = (0, 1, 2, 3)
+    ms = [i for i in range(-4, 4) if i != 0]
+    for mp, model, eng in _engines(model_params):
+
+        def rhs(n, m, ab, v):
+            if m > 0 or m < -n:
+                return eng.q(n + m, ab, v).scale(m)
+            return FockVector()
+
+        vs = _unit_vectors(fock.monomials(model, max_weight), {"model": mp})
+        yield from _bracket(model, vs, eng.e_op, eng.q, ns, ms, rhs)
 
 
 # -- vertex integral -------------------------------------------------------
 
+@_suite("vertex-integral")
 def suite_vertex_integral(
     n_max: int = 5, model_params=DEFAULT_MODELS
-) -> dict:
+) -> Iterator[Case]:
     """<q_n(1) vac, boundary(S_n(gamma) vac)> = C(n,2) (K.gamma + gamma.gamma)."""
-    checks = 0
-    for mp in model_params:
-        model = new_model(*mp)
-        eng = OperatorEngine(model)
+    for mp, model, eng in _engines(model_params):
         K = model.canonical_class()
-        gammas = [
-            model.h_class(),
-            model.canonical_class(),
-            model.h_class() + model.canonical_class(),
-        ]
-        for gamma in gammas:
+        h = model.h_class()
+        for gamma in (h, K, h + K):
             comps = eng.vertex(gamma, n_max)
+            k_gamma = model.pair(K, gamma) + model.pair(gamma, gamma)
             for n in range(1, n_max + 1):
-                lhs = pairing(
-                    eng.q(n, model.unit(), vacuum()),
-                    eng.boundary(comps[n]),
-                    model,
-                )
-                rhs = Q(comb(n, 2)) * (
-                    model.pair(K, gamma) + model.pair(gamma, gamma)
-                )
-                checks += 1
-                if lhs != rhs:
-                    return _report(
-                        "vertex-integral",
-                        checks,
-                        {
-                            "model": mp,
-                            "n": n,
-                            "gamma": sorted(gamma.coeff),
-                            "got": str(lhs),
-                            "want": str(rhs),
-                        },
-                    )
-    return _report("vertex-integral", checks)
+                qn = eng.q(n, model.unit(), vacuum())
+                lhs = pairing(qn, eng.boundary(comps[n]), model)
+                rhs = Q(comb(n, 2)) * k_gamma
+                where = {"model": mp, "n": n, "gamma": sorted(gamma.coeff)}
+                yield lhs, rhs, dict(where, got=str(lhs), want=str(rhs))
 
 
 # -- dimension bookkeeping -------------------------------------------------
@@ -467,114 +327,76 @@ def betti_product(n_max: int, e: int) -> Dict[Tuple[int, int], int]:
     (1 - t^(2m-2) q^m)^-1 (1 - t^(2m) q^m)^-(e-2) (1 - t^(2m+2) q^m)^-1,
     expanded through q^n_max.
     """
-
-    def mul(A, B):
-        out: Dict[Tuple[int, int], int] = {}
-        for (w1, d1), c1 in A.items():
-            for (w2, d2), c2 in B.items():
-                if w1 + w2 > n_max:
-                    continue
-                key = (w1 + w2, d1 + d2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return out
-
-    def geom_power(m, t_exp, mult):
-        # (1 - t^t_exp q^m)^-mult truncated in q
-        out = {(0, 0): 1}
-        jmax = n_max // m
-        for key_j in range(1, jmax + 1):
-            out[(m * key_j, t_exp * key_j)] = comb(mult - 1 + key_j, key_j)
-        return out
-
-    total = {(0, 0): 1}
+    rows = [Counter() for _ in range(n_max + 1)]  # weight -> {t-degree: c}
+    rows[0][0] = 1
     for m in range(1, n_max + 1):
-        total = mul(total, geom_power(m, 2 * m - 2, 1))
-        total = mul(total, geom_power(m, 2 * m, e - 2))
-        total = mul(total, geom_power(m, 2 * m + 2, 1))
-    return total
+        for t_exp, mult in ((2 * m - 2, 1), (2 * m, e - 2), (2 * m + 2, 1)):
+            for _ in range(mult):
+                # times (1 - t^t_exp q^m)^-1, in increasing weight so that
+                # the powers of the factor accumulate
+                for w in range(m, n_max + 1):
+                    for d, c in rows[w - m].items():
+                        rows[w][d + t_exp] += c
+    return {(w, d): c for w, row in enumerate(rows) for d, c in row.items()}
 
 
-def suite_goettsche(n_max: int = 6, e_values=(4, 6)) -> dict:
+@_suite("goettsche-dim")
+def suite_goettsche(n_max: int = 6, e_values=(4, 6)) -> Iterator[Case]:
     """Monomial counts per bidegree match the product generating function."""
-    checks = 0
     for e in e_values:
-        b2 = e - 4
-        model = new_model(1, 0, -1, b2)
+        model = new_model(1, 0, -1, e - 4)
         table = betti_product(n_max, e)
         for n in range(n_max + 1):
             for i in range(0, 4 * n + 1):
                 got = dimension(n, i, model)
                 want = table.get((n, i), 0)
-                checks += 1
-                if got != want:
-                    return _report(
-                        "goettsche-dim",
-                        checks,
-                        {"e": e, "n": n, "i": i, "got": got, "want": want},
-                    )
-    return _report("goettsche-dim", checks)
+                where = {"e": e, "n": n, "i": i, "got": got, "want": want}
+                yield got, want, where
 
 
 # -- line bundle Chern classes ---------------------------------------------
 
+@_suite("chern-line")
 def suite_chern_line(
     n_max: int = 5, model_params=DEFAULT_MODELS
-) -> dict:
+) -> Iterator[Case]:
     """Total Chern classes of tautological bundles of line bundles equal the
     vertex-operator expansion in the total Chern class of the line bundle."""
-    checks = 0
-    for mp in model_params:
-        model = new_model(*mp)
-        eng = OperatorEngine(model)
-        bundles = [
-            KClassSpec.line_bundle(model.h_class()),
-            KClassSpec.line_bundle(-model.canonical_class()),
-            KClassSpec.line_bundle(
-                model.h_class().scale(2) - model.canonical_class()
-            ),
-        ]
-        for L in bundles:
+    for mp, model, eng in _engines(model_params):
+        h = model.h_class()
+        K = model.canonical_class()
+        for c1 in (h, -K, h.scale(2) - K):
+            L = KClassSpec.line_bundle(c1)
             got = eng.total_chern_classes(L, n_max)
             want = eng.vertex(L.total_chern(model), n_max)
             for n in range(n_max + 1):
-                checks += 1
-                if got[n] != want[n]:
-                    return _report(
-                        "chern-line",
-                        checks,
-                        {"model": mp, "n": n, "c1": sorted(L.c1.coeff)},
-                    )
-    return _report("chern-line", checks)
+                where = {"model": mp, "n": n, "c1": sorted(c1.coeff)}
+                yield got[n], want[n], where
 
 
 # -- affine plane ----------------------------------------------------------
 
+@_suite("affine")
 def suite_affine(
     gen_max: int = 8, bracket_weight: int = 6, seed: int = 7
-) -> dict:
+) -> Iterator[Case]:
     """Structural identities of the affine-plane model."""
-    checks = 0
     rng = random.Random(seed)
 
     def random_poly():
         data = {}
         for _ in range(3):
             mono = []
-            w = 0
-            while w < bracket_weight:
-                m = rng.randint(1, bracket_weight - w)
-                mono.append(m)
-                w += m
+            while sum(mono) < bracket_weight:
+                mono.append(rng.randint(1, bracket_weight - sum(mono)))
                 if rng.random() < 0.4:
                     break
-            counts: Dict[int, int] = {}
-            for m in mono:
-                counts[m] = counts.get(m, 0) + 1
-            M = tuple(sorted(counts.items()))
+            M = tuple(sorted(Counter(mono).items()))
             data[M] = Q(rng.randint(-4, 4), rng.randint(1, 3))
         return affine.WeightedPoly(data)
 
     polys = [random_poly() for _ in range(12)]
+    d_op, ch_op, mul_var = affine.d_op, affine.ch_op, affine.mul_var
     # [D(n,nu), D(m,mu)] = (nu m - mu n) D(n+m, nu+mu-1)
     pairs = [
         ((1, 1), (2, 1)),
@@ -588,122 +410,69 @@ def suite_affine(
     ]
     for p in polys:
         for (n, nu), (m, mu) in pairs:
-            lhs = affine.d_op(n, nu, affine.d_op(m, mu, p)) - affine.d_op(
-                m, mu, affine.d_op(n, nu, p)
-            )
-            rhs = affine.d_op(n + m, nu + mu - 1, p).scale(nu * m - mu * n)
-            checks += 1
-            if lhs != rhs:
-                return _report(
-                    "affine",
-                    checks,
-                    {"relation": "DD", "ops": [[n, nu], [m, mu]]},
-                )
+            lhs = d_op(n, nu, d_op(m, mu, p)) - d_op(m, mu, d_op(n, nu, p))
+            rhs = d_op(n + m, nu + mu - 1, p).scale(nu * m - mu * n)
+            yield lhs, rhs, {"relation": "DD", "ops": [[n, nu], [m, mu]]}
     # q_n^{(nu)} = (-n)^nu D(n, nu), via iterated boundary commutators
     for p in polys[:6]:
         for n in (1, 2, 3):
-            cur = affine.mul_var(n, p)  # q_n applied
-            hist = {0: cur}
             for nu in (1, 2, 3):
-                prev_op = hist[nu - 1]
-                # commutator with the boundary, applied to p
-                def apply_prev(x, order=nu - 1, n=n):
-                    return affine.d_op(n, order, x).scale(Q(-n) ** order)
 
-                cur = affine.boundary(apply_prev(p)) - apply_prev(
-                    affine.boundary(p)
-                )
-                want = affine.d_op(n, nu, p).scale(Q(-n) ** nu)
-                checks += 1
-                if cur != want:
-                    return _report(
-                        "affine", checks, {"relation": "qderiv", "n": n, "nu": nu}
-                    )
-                hist[nu] = cur
+                def prev(x):  # q_n^{(nu-1)}, by the identity under test
+                    return d_op(n, nu - 1, x).scale(Q(-n) ** (nu - 1))
+
+                cur = affine.boundary(prev(p)) - prev(affine.boundary(p))
+                want = d_op(n, nu, p).scale(Q(-n) ** nu)
+                yield cur, want, {"relation": "qderiv", "n": n, "nu": nu}
     # [ch_nu, q_m] = (-1)^nu / nu! * m * D(m, nu)
     for p in polys[:6]:
         for nu in (0, 1, 2, 3):
             for m in (1, 2, 3):
-                lhs = affine.ch_op(nu, affine.mul_var(m, p)) - affine.mul_var(
-                    m, affine.ch_op(nu, p)
-                )
-                from math import factorial
-
-                rhs = affine.d_op(m, nu, p).scale(
-                    Q((-1) ** nu, factorial(nu)) * m
-                )
-                checks += 1
-                if lhs != rhs:
-                    return _report(
-                        "affine", checks, {"relation": "chq", "nu": nu, "m": m}
-                    )
+                lhs = ch_op(nu, mul_var(m, p)) - mul_var(m, ch_op(nu, p))
+                rhs = d_op(m, nu, p).scale(Q((-1) ** nu, factorial(nu)) * m)
+                yield lhs, rhs, {"relation": "chq", "nu": nu, "m": m}
     # Chern character components commute
     for p in polys[:6]:
         for nu in (1, 2):
             for mu in (2, 3):
-                lhs = affine.ch_op(nu, affine.ch_op(mu, p))
-                rhs = affine.ch_op(mu, affine.ch_op(nu, p))
-                checks += 1
-                if lhs != rhs:
-                    return _report(
-                        "affine", checks, {"relation": "chch", "nu": nu, "mu": mu}
-                    )
+                lhs = ch_op(nu, ch_op(mu, p))
+                rhs = ch_op(mu, ch_op(nu, p))
+                yield lhs, rhs, {"relation": "chch", "nu": nu, "mu": mu}
     # generation of the weight-n space from q_1^n
     for n in range(1, gen_max + 1):
         rank, ok = affine.generation_check(n)
-        checks += 1
-        if not ok:
-            return _report(
-                "affine",
-                checks,
-                {"relation": "generation", "n": n, "rank": rank},
-            )
-    return _report("affine", checks)
+        yield ok, True, {"relation": "generation", "n": n, "rank": rank}
 
 
 # -- worked example --------------------------------------------------------
 
-def suite_worked_example(sampler: Optional[Sampler] = None) -> dict:
+@_suite("worked-example")
+def suite_worked_example(sampler: Optional[Sampler] = None) -> Iterator[Case]:
     """The weight-2 Segre computation, including the sign of the third
     derivative term in the operator expansion."""
-    checks = 0
     model = new_model(1, 0, -1, 0)
     eng = OperatorEngine(model)
-    from .segre import minus_polarization, _alpha_class
-
     u = minus_polarization(model)
     alpha = _alpha_class(model)
-
-    def alpha_power(p: int) -> CohClass:
-        out = model.unit()
-        for _ in range(p):
-            out = model.mul(out, alpha)
-        return out
-
+    powers = [model.unit()]
+    for _ in range(6):
+        powers.append(model.mul(powers[-1], alpha))
     v1 = eng.big_c_apply(u, vacuum(), 8)
     v2 = eng.big_c_apply(u, v1, 8)
     # expected expansion: q1(a)q1(a) + q2(a^3) - q2'(a^4) + q2''(a^5) - q2'''(a^6)
     expected = (
         eng.q(1, alpha, eng.q(1, alpha, vacuum()))
-        + eng.q(2, alpha_power(3), vacuum())
-        - eng.q_derivative(2, 1, alpha_power(4), vacuum())
-        + eng.q_derivative(2, 2, alpha_power(5), vacuum())
-        - eng.q_derivative(2, 3, alpha_power(6), vacuum())
+        + eng.q(2, powers[3], vacuum())
+        - eng.q_derivative(2, 1, powers[4], vacuum())
+        + eng.q_derivative(2, 2, powers[5], vacuum())
+        - eng.q_derivative(2, 3, powers[6], vacuum())
     )
-    checks += 1
-    if v2 != expected:
-        return _report("worked-example", checks, {"stage": "expansion"})
+    yield v2, expected, {"stage": "expansion"}
     # N_2 for this model
     n2 = Q(1, 2) * v2.terms.get(((1, "pt"), (1, "pt")), Q(0))
-    checks += 1
-    if n2 != Q(-2):
-        return _report(
-            "worked-example", checks, {"stage": "number", "got": str(n2)}
-        )
+    yield n2, Q(-2), {"stage": "number", "got": str(n2)}
     # universal polynomial (d^2 - 10 d - 5 pi - kappa + e)/2
     poly = segre_polynomial(2, sampler)
-    from .segre import UnivPoly
-
     want = UnivPoly(
         {
             (2, 0, 0, 0): Q(1, 2),
@@ -713,51 +482,32 @@ def suite_worked_example(sampler: Optional[Sampler] = None) -> dict:
             (0, 0, 0, 1): Q(1, 2),
         }
     )
-    checks += 1
-    if poly != want:
-        return _report(
-            "worked-example", checks, {"stage": "polynomial", "got": poly.render()}
-        )
-    return _report("worked-example", checks)
+    yield poly, want, {"stage": "polynomial", "got": poly.render()}
 
 
-_SUITE_FUNCS = {
-    "oscillator": suite_oscillator,
-    "virasoro": suite_virasoro,
-    "derivative": suite_derivative,
-    "e-op": suite_e_op,
-    "vertex-integral": suite_vertex_integral,
-    "goettsche-dim": suite_goettsche,
-    "chern-line": suite_chern_line,
-    "pairing": suite_pairing,
-    "affine": suite_affine,
-    "worked-example": suite_worked_example,
+#: name -> (suite function, the keyword that ``max_n`` sets, takes a seed)
+SUITES: Dict[str, Tuple[Callable[..., dict], Optional[str], bool]] = {
+    "oscillator": (suite_oscillator, "max_n", True),
+    "virasoro": (suite_virasoro, "max_n", False),
+    "derivative": (suite_derivative, "max_n", True),
+    "e-op": (suite_e_op, "max_weight", False),
+    "vertex-integral": (suite_vertex_integral, "n_max", False),
+    "goettsche-dim": (suite_goettsche, "n_max", False),
+    "chern-line": (suite_chern_line, "n_max", False),
+    "pairing": (suite_pairing, "n_max", True),
+    "affine": (suite_affine, "gen_max", True),
+    "worked-example": (suite_worked_example, None, False),
 }
 
 
 def run_suite(name: str, max_n: Optional[int] = None, seed: Optional[int] = None) -> dict:
     """Run one verification suite by name with optional size/seed overrides."""
-    func = _SUITE_FUNCS.get(name)
-    if func is None:
+    if name not in SUITES:
         raise UnknownSuite("unknown suite: %r" % name)
+    func, size_kwarg, seeded = SUITES[name]
     kwargs = {}
-    if max_n is not None:
-        if name == "oscillator":
-            kwargs["max_n"] = max_n
-        elif name in ("virasoro",):
-            kwargs["max_n"] = max_n
-        elif name == "derivative":
-            kwargs["max_n"] = max_n
-        elif name in ("vertex-integral", "chern-line"):
-            kwargs["n_max"] = max_n
-        elif name == "pairing":
-            kwargs["n_max"] = max_n
-        elif name == "goettsche-dim":
-            kwargs["n_max"] = max_n
-        elif name == "affine":
-            kwargs["gen_max"] = max_n
-        elif name == "e-op":
-            kwargs["max_weight"] = max_n
-    if seed is not None and name in ("oscillator", "derivative", "pairing", "affine"):
+    if max_n is not None and size_kwarg is not None:
+        kwargs[size_kwarg] = max_n
+    if seed is not None and seeded:
         kwargs["seed"] = seed
     return func(**kwargs)

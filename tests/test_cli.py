@@ -124,3 +124,28 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["segre", "--n", "-1"],
+        ["chern", "--n", "-1", "--bundle", "L(c1=h)"],
+        ["dm", "--max-m", "-1"],
+        ["conjecture", "--n-max", "-1"],
+        ["verify", "vertex-integral", "--max-n", "0"],
+        ["--max-weight", "3", "verify", "e-op", "--max-n", "9"],
+    ],
+    ids=[
+        "segre-negative-n",
+        "chern-negative-n",
+        "dm-negative-max-m",
+        "conjecture-negative-n-max",
+        "verify-max-n-zero",
+        "verify-max-n-over-guard",
+    ],
+)
+def test_out_of_range_sizes_are_usage_errors(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""

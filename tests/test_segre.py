@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hilbfock import new_model
+from hilbfock import ENGINE_VERSION, new_model
 from hilbfock.segre import (
     KNOWN_DM,
     InconsistentSamples,
@@ -152,3 +152,28 @@ def test_cache_env_var(tmp_path, monkeypatch):
     s = Sampler()
     s.value(1, (Q(1), Q(0), Q(-1), 0))
     assert os.path.exists(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [json.dumps({"engine_version": "0.0.0"}), "not json"],
+    ids=["other-version", "unreadable"],
+)
+def test_stale_cache_is_rewritten(tmp_path, header):
+    path = str(tmp_path / "cache.jsonl")
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+    s1 = Sampler(path)
+    assert not s1._mem
+    points = [
+        (Q(1), Q(0), Q(-1), 0),
+        (Q(2), Q(1), Q(-1), 0),
+        (Q(3), Q(-1), Q(2), 1),
+    ]
+    for j, params in enumerate(points):
+        s1.store(2, params, Q(j))
+    s2 = Sampler(path)
+    assert len(s2._mem) == 3
+    assert s2._mem[(2, points[2])] == Q(2)
+    with open(path) as fh:
+        assert json.loads(fh.readline()) == {"engine_version": ENGINE_VERSION}
