@@ -17,6 +17,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fock import integrate_hilb
@@ -187,6 +188,8 @@ class Sampler:
     is unreadable or names another engine version is not loaded, and is
     rewritten with a fresh header before the first new record, so that new
     records are not appended below the stale header and lost on reload.
+    Record lines that do not decode to a complete record are skipped and
+    counted in ``corrupt_lines``.
     The path may also come from the ``HILB_CACHE`` environment variable.
     """
 
@@ -196,6 +199,8 @@ class Sampler:
         self.cache_path = cache_path
         self._mem: Dict[Tuple[int, Params], Q] = {}
         self._stale = False
+        #: record lines of the cache file that could not be decoded
+        self.corrupt_lines = 0
         if cache_path:
             self._load()
 
@@ -227,8 +232,8 @@ class Sampler:
                     int(rec["b2_extra"]),
                 )
                 self._mem[(int(rec["n"]), params)] = Q(rec["value"])
-            except (json.JSONDecodeError, KeyError, ValueError):
-                continue
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                self.corrupt_lines += 1
 
     def _append(self, n: int, params: Params, value: Q) -> None:
         from . import ENGINE_VERSION
@@ -290,9 +295,14 @@ def _series_worker(args) -> Tuple[Params, List[str]]:
 # -- interpolation ---------------------------------------------------------
 
 def sample_grid(n: int, count: int, seed: int = 20260826) -> List[Params]:
-    """Deterministic nondegenerate parameter tuples for interpolation."""
+    """Deterministic nondegenerate parameter tuples for interpolation.
+
+    ``b2_extra`` cycles through 0..n//2, as many values of ``e`` as the
+    support of N_n needs; ``d`` takes only the 9 values 1..9, so the
+    system for N_n is rank deficient from n = 9 on.
+    """
     rng = random.Random(seed)
-    emax = min(n // 2, 3)
+    emax = n // 2
     seen = set()
     out: List[Params] = []
     b2_cycle = itertools.cycle(range(emax + 1))
@@ -316,6 +326,11 @@ def solve_overdetermined(
 ) -> List[Q]:
     """Exact solution of a consistent overdetermined linear system.
 
+    Fraction-free (Bareiss) elimination: each row is scaled to integers,
+    and after k pivots every entry below them is a (k+1)-minor of the
+    scaled system, so each update ``(p*x - f*y) // prev`` divides exactly
+    and no gcd is taken until back-substitution.
+
     Raises ValueError when the matrix is rank-deficient and
     InconsistentSamples when no exact solution exists.
     """
@@ -323,26 +338,32 @@ def solve_overdetermined(
     if m == 0:
         raise ValueError("empty system")
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    piv_rows = []
+    aug = []
+    for row, b in zip(rows, rhs):
+        row = list(row) + [b]
+        den = lcm(*(x.denominator for x in row))
+        aug.append([x.numerator * (den // x.denominator) for x in row])
+    prev = 1
     piv_cols = []
     r = 0
     for col in range(ncols):
-        sel = None
-        for i in range(r, m):
-            if aug[i][col]:
-                sel = i
-                break
-        if sel is None:
+        live = [i for i in range(r, m) if aug[i][col]]
+        if not live:
             continue
+        # the smallest pivot tends to keep the later minors small
+        sel = min(live, key=lambda i: abs(aug[i][col]))
         aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_rows.append(r)
+        top = aug[r]
+        p = top[col]
+        for i in range(r + 1, m):
+            row = aug[i]
+            f = row[col]
+            # columns up to col are zero below the pivot from here on
+            aug[i] = [0] * (col + 1) + [
+                (p * x - f * y) // prev
+                for x, y in zip(row[col + 1:], top[col + 1:])
+            ]
+        prev = p
         piv_cols.append(col)
         r += 1
         if r == m:
@@ -352,9 +373,15 @@ def solve_overdetermined(
             raise InconsistentSamples("samples are not consistent with the model")
     if len(piv_cols) < ncols:
         raise ValueError("sample matrix is rank deficient; add more points")
+    # full column rank: rows 0..ncols-1 are upper triangular
     sol = [Q(0)] * ncols
-    for pr, pc in zip(piv_rows, piv_cols):
-        sol[pc] = aug[pr][ncols]
+    for k in range(ncols - 1, -1, -1):
+        row = aug[k]
+        acc = Q(row[ncols])
+        for j in range(k + 1, ncols):
+            if row[j]:
+                acc -= row[j] * sol[j]
+        sol[k] = acc / row[k]
     return sol
 
 

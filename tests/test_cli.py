@@ -135,6 +135,7 @@ def test_console_entry_point():
         ["conjecture", "--n-max", "-1"],
         ["verify", "vertex-integral", "--max-n", "0"],
         ["--max-weight", "3", "verify", "e-op", "--max-n", "9"],
+        ["verify", "e-op", "--max-n", "5"],
     ],
     ids=[
         "segre-negative-n",
@@ -143,6 +144,7 @@ def test_console_entry_point():
         "conjecture-negative-n-max",
         "verify-max-n-zero",
         "verify-max-n-over-guard",
+        "verify-e-op-over-largest",
     ],
 )
 def test_out_of_range_sizes_are_usage_errors(capsys, argv):

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbfock import ENGINE_VERSION, new_model
 from hilbfock.segre import (
@@ -12,6 +15,7 @@ from hilbfock.segre import (
     UnivPoly,
     check_conjecture,
     dm_coefficients,
+    sample_grid,
     segre_number,
     segre_polynomial,
     segre_series,
@@ -177,3 +181,154 @@ def test_stale_cache_is_rewritten(tmp_path, header):
     assert s2._mem[(2, points[2])] == Q(2)
     with open(path) as fh:
         assert json.loads(fh.readline()) == {"engine_version": ENGINE_VERSION}
+
+
+def test_cache_counts_corrupt_lines(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    good = {"n": 2, "d": "1/1", "pi": "0/1", "kappa": "-1/1", "b2_extra": 0}
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"engine_version": ENGINE_VERSION}) + "\n")
+        fh.write(json.dumps(dict(good, value="-2/1")) + "\n")
+        fh.write(json.dumps(dict(good, value="-2/1"))[:25] + "\n")  # truncated
+        fh.write(json.dumps(good) + "\n")  # no value
+        fh.write("[2, 1]\n")  # not a record
+    s = Sampler(path)
+    assert s.corrupt_lines == 3
+    assert s._mem == {(2, (Q(1), Q(0), Q(-1), 0)): Q(-2)}
+
+
+# -- the interpolation grid --------------------------------------------------
+
+def test_sample_grid_unchanged_up_to_n7():
+    # digest of the grids segre_polynomial used for n <= 7 before the cap
+    # on b2_extra (at most 3) was lifted; those grids must stay the same
+    h = hashlib.sha256()
+    for n in range(8):
+        for d, pi, kappa, b2 in sample_grid(n, len(support_monomials(n)) + 3):
+            h.update(("%s %s %s %d;" % (d, pi, kappa, b2)).encode())
+    assert h.hexdigest() == (
+        "5e5e40c3f245a27283df043dc68c1815"
+        "c40ab30fe9d679c5f84bd5a14f9492a0"
+    )
+
+
+def _rank_mod(rows, p):
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def test_n8_sample_matrix_has_full_column_rank():
+    # a nonzero maximal minor modulo p is nonzero over the integers, so full
+    # rank modulo a prime certifies that N_8 is interpolable on its grid
+    monos = support_monomials(8)
+    grid = sample_grid(8, len(monos) + 3)
+    rows = []
+    for d, pi, kappa, b2 in grid:
+        assert d.denominator == pi.denominator == kappa.denominator == 1
+        d, pi, kappa, e = int(d), int(pi), int(kappa), 4 + b2
+        rows.append([d**a * pi**b * kappa**c * e**f for a, b, c, f in monos])
+    assert _rank_mod(rows, 2**61 - 1) == len(monos)
+
+
+# -- the exact solver ----------------------------------------------------------
+
+_ints = st.integers(-9, 9).map(Q)
+_rats = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def planted_systems(draw):
+    """(rows, rhs, solution, surplus row positions) of a full-rank system.
+
+    The first ``ncols`` rows are strictly diagonally dominant, hence
+    invertible, times a unit upper triangular integer matrix; the surplus
+    rows are arbitrary, and all rows are shuffled.  Since the square block
+    is invertible, no unit vector at a surplus row is in the column space.
+    """
+    ncols = draw(st.integers(1, 6))
+    surplus = draw(st.integers(1, 3))
+    entry = draw(st.sampled_from((_ints, _rats)))
+    block = [[draw(entry) for _ in range(ncols)] for _ in range(ncols)]
+    for i, row in enumerate(block):
+        off = sum(abs(x) for j, x in enumerate(row) if j != i)
+        row[i] = (off + 1) * draw(st.sampled_from((1, -1)))
+    mix = [
+        [Q(int(i == j)) if j <= i else draw(st.integers(-3, 3).map(Q))
+         for j in range(ncols)]
+        for i in range(ncols)
+    ]
+    block = [
+        [sum(row[k] * mix[k][j] for k in range(ncols)) for j in range(ncols)]
+        for row in block
+    ]
+    extra = [[draw(entry) for _ in range(ncols)] for _ in range(surplus)]
+    order = draw(st.permutations(range(ncols + surplus)))
+    stacked = block + extra
+    rows = [stacked[k] for k in order]
+    sol = [draw(_rats) for _ in range(ncols)]
+    rhs = [sum((a * x for a, x in zip(row, sol)), Q(0)) for row in rows]
+    surplus_at = [pos for pos, k in enumerate(order) if k >= ncols]
+    return rows, rhs, sol, surplus_at
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_systems())
+def test_solver_recovers_planted_solution(system):
+    rows, rhs, sol, _ = system
+    assert solve_overdetermined(rows, rhs) == sol
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_systems(), st.data())
+def test_solver_refuses_perturbed_surplus_row(system, data):
+    rows, rhs, _, surplus_at = system
+    i = data.draw(st.sampled_from(surplus_at))
+    rhs[i] += data.draw(_rats.filter(bool))
+    with pytest.raises(InconsistentSamples):
+        solve_overdetermined(rows, rhs)
+
+
+def _rank_deficient(rows, rhs):
+    with pytest.raises(ValueError) as info:
+        solve_overdetermined(rows, rhs)
+    assert not isinstance(info.value, InconsistentSamples)
+    assert "rank deficient" in str(info.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_systems(), st.data())
+def test_solver_refuses_duplicated_column(system, data):
+    rows, rhs, _, _ = system
+    j = data.draw(st.integers(0, len(rows[0]) - 1))
+    at = data.draw(st.integers(0, len(rows[0])))
+    # the copy takes no part in the solution, so the system stays consistent
+    _rank_deficient([r[:at] + [r[j]] + r[at:] for r in rows], rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_systems(), st.data())
+def test_solver_skips_zero_column_exactly(system, data):
+    # a column without a pivot leaves the previous pivot as divisor; were a
+    # later division inexact, the floor would leave nonzero residuals and
+    # the consistent system would be reported as inconsistent
+    rows, rhs, _, surplus_at = system
+    at = data.draw(st.integers(0, len(rows[0]) - 1))
+    rows = [r[:at] + [Q(0)] + r[at:] for r in rows]
+    _rank_deficient(rows, rhs)
+    i = data.draw(st.sampled_from(surplus_at))
+    rhs[i] += 1
+    with pytest.raises(InconsistentSamples):
+        solve_overdetermined(rows, rhs)
