@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+from .linear import Combination, axpy, rat, render_sum
 
 Q = Fraction
 
@@ -25,23 +27,22 @@ Q = Fraction
 Mono = Tuple[Tuple[int, int], ...]
 
 
-def _rat(x) -> Q:
-    return x if isinstance(x, Q) else Q(x)
+def render_mono(M: Mono) -> str:
+    return "*".join("q%d" % i if p == 1 else "q%d^%d" % (i, p) for i, p in M) or "1"
 
 
-class WeightedPoly:
+class WeightedPoly(Combination):
     """A polynomial in the variables q_m with rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Optional[Dict[Mono, object]] = None):
+        # sort each key into a monomial; keys naming the same one are summed
         data: Dict[Mono, Q] = {}
-        if terms:
-            for M, c in terms.items():
-                c = _rat(c)
-                if c:
-                    data[tuple(sorted(M))] = c
-        self.terms = data
+        for M, c in (terms or {}).items():
+            M = tuple(sorted(M))
+            data[M] = data.get(M, 0) + rat(c)
+        super().__init__(data)
 
     @classmethod
     def variable(cls, m: int, power: int = 1) -> "WeightedPoly":
@@ -53,42 +54,10 @@ class WeightedPoly:
     def one(cls) -> "WeightedPoly":
         return cls({(): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "WeightedPoly") -> "WeightedPoly":
-        data = dict(self.terms)
-        for M, c in other.terms.items():
-            data[M] = data.get(M, Q(0)) + c
-        return WeightedPoly(data)
-
-    def __sub__(self, other: "WeightedPoly") -> "WeightedPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "WeightedPoly":
-        c = _rat(c)
-        return WeightedPoly({M: c * x for M, x in self.terms.items()})
-
-    def __rmul__(self, c) -> "WeightedPoly":
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightedPoly) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "WeightedPoly(0)"
-        parts = []
-        for M in sorted(self.terms):
-            c = self.terms[M]
-            body = (
-                "*".join(
-                    "q%d" % i if p == 1 else "q%d^%d" % (i, p) for i, p in M
-                )
-                or "1"
-            )
-            parts.append("%s*%s" % (c, body))
-        return "WeightedPoly(%s)" % " + ".join(parts)
+    def render(self) -> str:
+        return render_sum(
+            ((self.terms[M], render_mono(M)) for M in sorted(self.terms)), " "
+        )
 
 
 def mono_weight(M: Mono) -> int:
@@ -202,13 +171,7 @@ def _reduce(vec: Dict[Mono, Q], basis: Dict[Mono, Dict[Mono, Q]]):
         if b is None:
             c = vec[piv]
             return {M: x / c for M, x in vec.items()}, piv
-        f = vec[piv]
-        for M, x in b.items():
-            y = vec.get(M, Q(0)) - f * x
-            if y:
-                vec[M] = y
-            elif M in vec:
-                del vec[M]
+        axpy(vec, b, -vec[piv])
     return None, None
 
 

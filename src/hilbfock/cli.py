@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import ENGINE_VERSION
-from .fock import dimension, render_vector, vacuum
+from .fock import render_monomial, render_vector
+from .linear import q_str
 from .operators import OperatorEngine
 from .segre import (
     KNOWN_DM,
@@ -69,10 +70,6 @@ def _emit(command: str, parameters: dict, result, ok: bool = True) -> None:
         "result": result,
     }
     print(json.dumps(doc, indent=2, default=str))
-
-
-def _q_str(x: Q) -> str:
-    return "%d/%d" % (x.numerator, x.denominator)
 
 
 _BUNDLE_RE = re.compile(r"^(-?)L\(c1=([^)]*)\)$")
@@ -181,12 +178,12 @@ def _cmd_segre(args) -> int:
         return 0
     model = new_model(args.d, args.pi, args.kappa, args.b2_extra)
     value = segre_series(args.n, model)[args.n]
-    result = {"n": args.n, "value": _q_str(value)}
+    result = {"n": args.n, "value": q_str(value)}
     params = {
         "n": args.n,
-        "d": _q_str(args.d),
-        "pi": _q_str(args.pi),
-        "kappa": _q_str(args.kappa),
+        "d": q_str(args.d),
+        "pi": q_str(args.pi),
+        "kappa": q_str(args.kappa),
         "b2_extra": args.b2_extra,
     }
     _emit("segre", params, result)
@@ -232,9 +229,9 @@ def _cmd_conjecture(args) -> int:
         "conjecture",
         {
             "n_max": args.n_max,
-            "d": _q_str(args.d),
-            "pi": _q_str(args.pi),
-            "kappa": _q_str(args.kappa),
+            "d": q_str(args.d),
+            "pi": q_str(args.pi),
+            "kappa": q_str(args.kappa),
             "b2_extra": args.b2_extra,
         },
         rows,
@@ -268,7 +265,7 @@ def _cmd_chern(args) -> int:
         "bundle": args.bundle,
         "class": _render_chern(v, args.n),
         "terms": {
-            "*".join("q%d[%s]" % (i, s) for i, s in M) or "1": _q_str(c)
+            render_monomial(M): q_str(c)
             for M, c in sorted(v.terms.items())
         },
     }

@@ -27,24 +27,12 @@ from .fock import (
     q_mono,
     vacuum,
 )
+from .linear import axpy
 from .surface import CohClass, KClassSpec, SurfaceModel
 
 Q = Fraction
 
 Vec = Dict[Monomial, Q]
-
-
-def _axpy(acc: Vec, v: Vec, c: Q) -> None:
-    for M, x in v.items():
-        y = acc.get(M)
-        if y is None:
-            acc[M] = x * c
-        else:
-            y = y + x * c
-            if y:
-                acc[M] = y
-            else:
-                del acc[M]
 
 
 def gen_binomial(x: int, nu: int) -> Q:
@@ -78,14 +66,14 @@ class OperatorEngine:
     def _q_vec(self, m: int, sym: str, v: Vec) -> Vec:
         out: Vec = {}
         for M, c in v.items():
-            _axpy(out, self._q_mono(m, sym, M), c)
+            axpy(out, self._q_mono(m, sym, M), c)
         return out
 
     def q(self, m: int, a: CohClass, v: FockVector) -> FockVector:
         out: Vec = {}
-        for sym, ca in a.coeff.items():
+        for sym, ca in a.terms.items():
             for M, c in v.terms.items():
-                _axpy(out, self._q_mono(m, sym, M), c * ca)
+                axpy(out, self._q_mono(m, sym, M), c * ca)
         return FockVector(out)
 
     # -- Virasoro operators ------------------------------------------------
@@ -103,46 +91,46 @@ class OperatorEngine:
                 for nu in range(1, W + 1):
                     t = self._q_mono(-nu, s2, M)
                     if t:
-                        _axpy(out, self._q_vec(nu, s1, t), c)
+                        axpy(out, self._q_vec(nu, s1, t), c)
             elif m > 0:
                 for nu in range(1, m):
                     t = self._q_mono(m - nu, s2, M)
-                    _axpy(out, self._q_vec(nu, s1, t), c * half)
+                    axpy(out, self._q_vec(nu, s1, t), c * half)
                 for nu in range(1, W + 1):
                     t = self._q_mono(-nu, s2, M)
                     if t:
-                        _axpy(out, self._q_vec(m + nu, s1, t), c)
+                        axpy(out, self._q_vec(m + nu, s1, t), c)
             else:
                 for nu in range(1, -m):
                     t = self._q_mono(m + nu, s2, M)
                     if t:
-                        _axpy(out, self._q_vec(-nu, s1, t), c * half)
+                        axpy(out, self._q_vec(-nu, s1, t), c * half)
                 for p in range(1, W + m + 1):
                     t = self._q_mono(m - p, s2, M)
                     if t:
-                        _axpy(out, self._q_vec(p, s1, t), c)
+                        axpy(out, self._q_vec(p, s1, t), c)
         self._L_cache[key] = out
         return out
 
     def virasoro(self, m: int, a: CohClass, v: FockVector) -> FockVector:
         out: Vec = {}
-        for sym, ca in a.coeff.items():
+        for sym, ca in a.terms.items():
             for M, c in v.terms.items():
-                _axpy(out, self._L_mono(m, sym, M), c * ca)
+                axpy(out, self._L_mono(m, sym, M), c * ca)
         return FockVector(out)
 
     def e_op(self, n: int, a: CohClass, v: FockVector) -> FockVector:
         """The operator with e_n + L_n equal to the truncated quadratic sum."""
         out: Vec = {}
         half = Q(1, 2)
-        for sym, ca in a.coeff.items():
+        for sym, ca in a.terms.items():
             for M, c in v.terms.items():
-                _axpy(out, self._L_mono(n, sym, M), -c * ca)
+                axpy(out, self._L_mono(n, sym, M), -c * ca)
                 if n > 0:
                     for cc, s1, s2 in self.model.delta_triples(sym):
                         for nu in range(1, n):
                             t = self._q_mono(n - nu, s2, M)
-                            _axpy(
+                            axpy(
                                 out,
                                 self._q_vec(nu, s1, t),
                                 c * ca * cc * half,
@@ -157,12 +145,12 @@ class OperatorEngine:
         if out is not None:
             return out
         out = {}
-        _axpy(out, self._L_mono(n, sym, M), Q(n))
+        axpy(out, self._L_mono(n, sym, M), Q(n))
         coeff = Q(n * (abs(n) - 1), 2)
         if coeff:
             p = self.model.prod_sym("k", sym)
             if p is not None and p[0]:
-                _axpy(out, self._q_mono(n, p[1], M), coeff * p[0])
+                axpy(out, self._q_mono(n, p[1], M), coeff * p[0])
         self._qp_cache[key] = out
         return out
 
@@ -176,14 +164,14 @@ class OperatorEngine:
             (n, s), rest = M[0], M[1:]
             out = dict(self._qprime_mono(n, s, rest))
             for M2, c in self._boundary_mono(rest).items():
-                _axpy(out, self._q_mono(n, s, M2), c)
+                axpy(out, self._q_mono(n, s, M2), c)
         self._b_cache[M] = out
         return out
 
     def boundary(self, v: FockVector) -> FockVector:
         out: Vec = {}
         for M, c in v.terms.items():
-            _axpy(out, self._boundary_mono(M), c)
+            axpy(out, self._boundary_mono(M), c)
         return FockVector(out)
 
     def _qderiv_mono(self, n: int, nu: int, sym: str, M: Monomial) -> Vec:
@@ -197,9 +185,9 @@ class OperatorEngine:
             return out
         out = {}
         for M2, c in self._qderiv_mono(n, nu - 1, sym, M).items():
-            _axpy(out, self._boundary_mono(M2), c)
+            axpy(out, self._boundary_mono(M2), c)
         for M2, c in self._boundary_mono(M).items():
-            _axpy(out, self._qderiv_mono(n, nu - 1, sym, M2), -c)
+            axpy(out, self._qderiv_mono(n, nu - 1, sym, M2), -c)
         self._qd_cache[key] = out
         return out
 
@@ -210,9 +198,9 @@ class OperatorEngine:
         if order < 0:
             raise ValueError("order must be nonnegative")
         out: Vec = {}
-        for sym, ca in a.coeff.items():
+        for sym, ca in a.terms.items():
             for M, c in v.terms.items():
-                _axpy(out, self._qderiv_mono(n, order, sym, M), c * ca)
+                axpy(out, self._qderiv_mono(n, order, sym, M), c * ca)
         return FockVector(out)
 
     # -- Chern class operators ---------------------------------------------
@@ -230,8 +218,8 @@ class OperatorEngine:
         model = self.model
         components = [
             (0, {"1": Q(1)}),
-            (1, u.c1.coeff),
-            (2, u.c2.coeff),
+            (1, u.c1.terms),
+            (2, u.c2.terms),
         ]
         out: Vec = {}
         for M, cv in v.terms.items():
@@ -245,7 +233,7 @@ class OperatorEngine:
                     for sym, cc in cls.items():
                         if g + 2 * nu + model.degree[sym] > degree_budget:
                             continue
-                        _axpy(
+                        axpy(
                             out,
                             self._qderiv_mono(1, nu, sym, M),
                             cv * b * cc,
@@ -285,10 +273,10 @@ class OperatorEngine:
                 nu = 0
                 while gdeg + 2 * nu <= 4 * n:
                     f = Q(1, factorial(nu))
-                    for sym, cc in ch.coeff.items():
+                    for sym, cc in ch.terms.items():
                         if gdeg + 2 * nu + model.degree[sym] > 4 * n:
                             continue
-                        _axpy(g2, self._qderiv_mono(1, nu, sym, M), c * cc * f)
+                        axpy(g2, self._qderiv_mono(1, nu, sym, M), c * cc * f)
                     nu += 1
             g = g2
             w = self._q_vec(1, unit, w)
@@ -304,9 +292,9 @@ class OperatorEngine:
             acc: Vec = {}
             for j in range(1, m + 1):
                 sign = Q(1) if j % 2 == 1 else Q(-1)
-                for sym, cg in gamma.coeff.items():
+                for sym, cg in gamma.terms.items():
                     for M, c in comps[m - j].items():
-                        _axpy(
+                        axpy(
                             acc,
                             self._q_mono(j, sym, M),
                             sign * cg * c,

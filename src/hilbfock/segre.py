@@ -18,9 +18,10 @@ import os
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fock import integrate_hilb
+from .linear import Combination, q_str, rat, render_sum
 from .operators import OperatorEngine
 from .series import PowerSeries
 from .surface import CohClass, KClassSpec, SurfaceModel, new_model
@@ -40,32 +41,10 @@ class InconsistentSamples(ValueError):
 _VARS = ("d", "pi", "kappa", "e")
 
 
-class UnivPoly:
+class UnivPoly(Combination):
     """Polynomial in d, pi, kappa, e with rational coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[Expo, object]] = None):
-        data: Dict[Expo, Q] = {}
-        if terms:
-            for ex, c in terms.items():
-                c = c if isinstance(c, Q) else Q(c)
-                if c:
-                    data[tuple(ex)] = c
-        self.terms = data
-
-    def __add__(self, other: "UnivPoly") -> "UnivPoly":
-        data = dict(self.terms)
-        for ex, c in other.terms.items():
-            data[ex] = data.get(ex, Q(0)) + c
-        return UnivPoly(data)
-
-    def __sub__(self, other: "UnivPoly") -> "UnivPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "UnivPoly":
-        c = c if isinstance(c, Q) else Q(c)
-        return UnivPoly({ex: c * x for ex, x in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other: "UnivPoly") -> "UnivPoly":
         data: Dict[Expo, Q] = {}
@@ -75,14 +54,8 @@ class UnivPoly:
                 data[ex] = data.get(ex, Q(0)) + c1 * c2
         return UnivPoly(data)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UnivPoly) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def evaluate(self, d, pi, kappa, e) -> Q:
-        vals = tuple(x if isinstance(x, Q) else Q(x) for x in (d, pi, kappa, e))
+        vals = tuple(rat(x) for x in (d, pi, kappa, e))
         total = Q(0)
         for ex, c in self.terms.items():
             t = c
@@ -107,32 +80,17 @@ class UnivPoly:
     def json_map(self) -> Dict[str, str]:
         out = {}
         for ex in sorted(self.terms, reverse=True):
-            c = self.terms[ex]
-            out[self._mono_key(ex)] = "%d/%d" % (c.numerator, c.denominator)
+            out[self._mono_key(ex)] = q_str(self.terms[ex])
         return out
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for ex in sorted(self.terms, reverse=True):
-            c = self.terms[ex]
-            mono = self._mono_key(ex)
-            mag = abs(c)
-            if mono == "1":
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = "%s*%s" % (mag, mono)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return "UnivPoly(%s)" % self.render()
+        return render_sum(
+            (
+                (self.terms[ex], self._mono_key(ex))
+                for ex in sorted(self.terms, reverse=True)
+            ),
+            " ",
+        )
 
 
 def support_monomials(n: int) -> List[Expo]:
@@ -174,10 +132,6 @@ def segre_number(n: int, model: SurfaceModel) -> Q:
 
 
 # -- sample cache ----------------------------------------------------------
-
-def _q_str(x: Q) -> str:
-    return "%d/%d" % (x.numerator, x.denominator)
-
 
 class Sampler:
     """Computes and caches the numbers N_n over many surface models.
@@ -253,11 +207,11 @@ class Sampler:
                 json.dumps(
                     {
                         "n": n,
-                        "d": _q_str(d),
-                        "pi": _q_str(pi),
-                        "kappa": _q_str(kappa),
+                        "d": q_str(d),
+                        "pi": q_str(pi),
+                        "kappa": q_str(kappa),
                         "b2_extra": b2,
-                        "value": _q_str(value),
+                        "value": q_str(value),
                     }
                 )
                 + "\n"
@@ -289,7 +243,7 @@ def _series_worker(args) -> Tuple[Params, List[str]]:
     n_max, params = args
     d, pi, kappa, b2 = (Q(params[0]), Q(params[1]), Q(params[2]), params[3])
     values = segre_series(n_max, new_model(d, pi, kappa, b2))
-    return (d, pi, kappa, b2), [_q_str(v) for v in values]
+    return (d, pi, kappa, b2), [q_str(v) for v in values]
 
 
 # -- interpolation ---------------------------------------------------------
@@ -395,12 +349,23 @@ def segre_polynomial(
 
     Solves an overdetermined linear system over the allowed monomial
     support; the surplus equations certify the support bound, and any
-    residual raises :class:`InconsistentSamples`.
+    residual raises :class:`InconsistentSamples`.  A grid with too few
+    distinct values of some variable is refused with ValueError before
+    any value is sampled.
     """
     if sampler is None:
         sampler = Sampler()
     monos = support_monomials(n)
     grid = sample_grid(n, len(monos) + extra_points)
+    for i, var in enumerate(_VARS):
+        # on k distinct values of a variable its powers up to k are dependent;
+        # b2_extra takes as many values as e = 4 + b2_extra
+        top = max(ex[i] for ex in monos)
+        if len({params[i] for params in grid}) <= top:
+            raise ValueError(
+                "sample matrix is rank deficient: %s^%d needs more grid values of %s"
+                % (var, top, var)
+            )
     _fill_values(sampler, n, grid, jobs)
     rows = []
     rhs = []
@@ -566,8 +531,8 @@ def check_conjecture(
         rows.append(
             {
                 "n": n,
-                "computed": _q_str(lhs),
-                "predicted": _q_str(rhs),
+                "computed": q_str(lhs),
+                "predicted": q_str(rhs),
                 "match": lhs == rhs,
             }
         )

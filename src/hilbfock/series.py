@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
+from .linear import rat
+
 Q = Fraction
 
 
@@ -21,17 +23,13 @@ class NotInvertible(ValueError):
     """The series cannot be reverted (compositionally inverted)."""
 
 
-def _rat(x) -> Q:
-    return x if isinstance(x, Q) else Q(x)
-
-
 class PowerSeries:
     """A power series truncated at a fixed order (inclusive)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[object], order: int | None = None):
-        cs = [_rat(c) for c in coeffs]
+        cs = [rat(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")
@@ -77,7 +75,7 @@ class PowerSeries:
         return PowerSeries([-c for c in self.coeffs])
 
     def scale(self, c) -> "PowerSeries":
-        c = _rat(c)
+        c = rat(c)
         return PowerSeries([c * x for x in self.coeffs])
 
     def __rmul__(self, c) -> "PowerSeries":
@@ -134,7 +132,7 @@ class PowerSeries:
         """Rational power of a series with constant term one."""
         if self.coeffs[0] != 1:
             raise InvalidConstantTerm("pow needs constant term one")
-        return self.log().scale(_rat(a)).exp()
+        return self.log().scale(rat(a)).exp()
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; needs a nonzero constant term."""
@@ -196,7 +194,7 @@ def conjecture_series(d, pi, kappa, e, n_max: int) -> PowerSeries:
     (1-k)^a (1-2k)^b / (1-6k+6k^2)^c where k = k(z) inverts
     z = k (1-k) (1-2k)^4 / (1-6k+6k^2)^3.
     """
-    d, pi, kappa, e = map(_rat, (d, pi, kappa, e))
+    d, pi, kappa, e = map(rat, (d, pi, kappa, e))
     chi = (e + kappa) / 12
     a = pi - 2 * kappa
     b = d - 2 * pi + kappa + 3 * chi

@@ -12,63 +12,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from .linear import Combination, rat, render_sum
 
 Q = Fraction
 
 
 class DegeneratePairing(ValueError):
     """The degree-2 intersection form is singular: d*kappa == pi**2."""
-
-
-def _rat(x) -> Q:
-    return x if isinstance(x, Q) else Q(x)
-
-
-class CohClass:
-    """A sparse rational linear combination of the basis symbols."""
-
-    __slots__ = ("coeff",)
-
-    def __init__(self, coeff: Optional[Mapping[str, object]] = None):
-        data: Dict[str, Q] = {}
-        if coeff:
-            for sym, c in coeff.items():
-                c = _rat(c)
-                if c:
-                    data[sym] = c
-        self.coeff = data
-
-    def is_zero(self) -> bool:
-        return not self.coeff
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        data = dict(self.coeff)
-        for sym, c in other.coeff.items():
-            data[sym] = data.get(sym, Q(0)) + c
-        return CohClass(data)
-
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        return self + (-other)
-
-    def __neg__(self) -> "CohClass":
-        return CohClass({s: -c for s, c in self.coeff.items()})
-
-    def scale(self, c) -> "CohClass":
-        c = _rat(c)
-        return CohClass({s: c * x for s, x in self.coeff.items()})
-
-    def __rmul__(self, c) -> "CohClass":
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CohClass) and self.coeff == other.coeff
-
-    def __hash__(self):
-        return hash(frozenset(self.coeff.items()))
-
-    def __repr__(self) -> str:
-        return "CohClass(%s)" % render_class(self)
 
 
 def _sym_rank(sym: str) -> Tuple[int, int]:
@@ -86,23 +38,15 @@ def _sym_rank(sym: str) -> Tuple[int, int]:
 
 def render_class(a: CohClass) -> str:
     """Render a class as e.g. ``1-h+1/2*pt``."""
-    if a.is_zero():
-        return "0"
-    parts = []
-    for sym in sorted(a.coeff, key=_sym_rank):
-        c = a.coeff[sym]
-        mag = abs(c)
-        if sym == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = sym
-        else:
-            body = "%s*%s" % (mag, sym)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+" if c > 0 else "-") + body)
-    return "".join(parts)
+    return render_sum((a.terms[s], s) for s in sorted(a.terms, key=_sym_rank))
+
+
+class CohClass(Combination):
+    """A sparse rational linear combination of the basis symbols."""
+
+    __slots__ = ()
+
+    render = render_class
 
 
 _TERM_RE = re.compile(
@@ -140,9 +84,9 @@ class SurfaceModel:
     """
 
     def __init__(self, d, pi, kappa, b2_extra: int = 0):
-        self.d = _rat(d)
-        self.pi = _rat(pi)
-        self.kappa = _rat(kappa)
+        self.d = rat(d)
+        self.pi = rat(pi)
+        self.kappa = rat(kappa)
         if not isinstance(b2_extra, int) or b2_extra < 0:
             raise ValueError("b2_extra must be a nonnegative integer")
         self.b2_extra = b2_extra
@@ -204,7 +148,7 @@ class SurfaceModel:
                 c0, left = p
                 if not c0:
                     continue
-                for s2, c2 in dual[b].coeff.items():
+                for s2, c2 in dual[b].terms.items():
                     key = (left, s2)
                     triples[key] = triples.get(key, Q(0)) + c0 * c2
             delta[s] = tuple(
@@ -220,8 +164,8 @@ class SurfaceModel:
 
     def mul(self, a: CohClass, b: CohClass) -> CohClass:
         data: Dict[str, Q] = {}
-        for s, cs in a.coeff.items():
-            for t, ct in b.coeff.items():
+        for s, cs in a.terms.items():
+            for t, ct in b.terms.items():
                 p = self._prod.get((s, t))
                 if p is None:
                     continue
@@ -232,7 +176,7 @@ class SurfaceModel:
 
     def integrate(self, a: CohClass) -> Q:
         """Evaluate against the fundamental class: the coefficient of pt."""
-        return a.coeff.get("pt", Q(0))
+        return a.terms.get("pt", Q(0))
 
     def pair(self, a: CohClass, b: CohClass) -> Q:
         return self.integrate(self.mul(a, b))
@@ -298,10 +242,10 @@ class KClassSpec:
     __slots__ = ("rank", "c1", "c2")
 
     def __init__(self, rank: int, c1: CohClass, c2: CohClass):
-        for sym in c1.coeff:
+        for sym in c1.terms:
             if sym in ("1", "pt"):
                 raise ValueError("c1 must be a degree-2 class")
-        for sym in c2.coeff:
+        for sym in c2.terms:
             if sym != "pt":
                 raise ValueError("c2 must be a degree-4 class")
         self.rank = rank

@@ -314,7 +314,7 @@ def suite_vertex_integral(
                 qn = eng.q(n, model.unit(), vacuum())
                 lhs = pairing(qn, eng.boundary(comps[n]), model)
                 rhs = Q(comb(n, 2)) * k_gamma
-                where = {"model": mp, "n": n, "gamma": sorted(gamma.coeff)}
+                where = {"model": mp, "n": n, "gamma": sorted(gamma.terms)}
                 yield lhs, rhs, dict(where, got=str(lhs), want=str(rhs))
 
 
@@ -374,7 +374,7 @@ def suite_chern_line(
             got = eng.total_chern_classes(L, n_max)
             want = eng.vertex(L.total_chern(model), n_max)
             for n in range(n_max + 1):
-                where = {"model": mp, "n": n, "c1": sorted(c1.coeff)}
+                where = {"model": mp, "n": n, "c1": sorted(c1.terms)}
                 yield got[n], want[n], where
 
 

@@ -20,6 +20,12 @@ def q(m, p=1):
     return WeightedPoly({((m, p),): 1})
 
 
+def test_keys_of_one_monomial_are_summed():
+    p = WeightedPoly({((2, 1), (1, 1)): 1, ((1, 1), (2, 1)): 2})
+    assert p.terms == {((1, 1), (2, 1)): 3}
+    assert WeightedPoly({((2, 1), (1, 1)): 1, ((1, 1), (2, 1)): -1}).is_zero()
+
+
 def test_d_op_base_cases():
     p = q(1, 2)
     assert d_op(1, 0, p) == WeightedPoly({((1, 3),): 1})

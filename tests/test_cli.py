@@ -136,6 +136,7 @@ def test_console_entry_point():
         ["verify", "vertex-integral", "--max-n", "0"],
         ["--max-weight", "3", "verify", "e-op", "--max-n", "9"],
         ["verify", "e-op", "--max-n", "5"],
+        ["segre", "--n", "9", "--symbolic"],
     ],
     ids=[
         "segre-negative-n",
@@ -145,6 +146,7 @@ def test_console_entry_point():
         "verify-max-n-zero",
         "verify-max-n-over-guard",
         "verify-e-op-over-largest",
+        "segre-symbolic-rank-deficient",
     ],
 )
 def test_out_of_range_sizes_are_usage_errors(capsys, argv):

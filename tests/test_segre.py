@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import ENGINE_VERSION, new_model
+from hilbfock import ENGINE_VERSION, new_model, segre
 from hilbfock.segre import (
     KNOWN_DM,
     InconsistentSamples,
@@ -241,6 +241,16 @@ def test_n8_sample_matrix_has_full_column_rank():
         d, pi, kappa, e = int(d), int(pi), int(kappa), 4 + b2
         rows.append([d**a * pi**b * kappa**c * e**f for a, b, c, f in monos])
     assert _rank_mod(rows, 2**61 - 1) == len(monos)
+
+
+def test_rank_deficient_grid_is_refused_before_sampling(monkeypatch):
+    # on 9 values of d the column of d^9 depends on those of d^0..d^8
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("segre_series was called")
+
+    monkeypatch.setattr(segre, "segre_series", no_sampling)
+    with pytest.raises(ValueError, match="rank deficient"):
+        segre_polynomial(9, Sampler())
 
 
 # -- the exact solver ----------------------------------------------------------

@@ -67,8 +67,8 @@ def test_diagonal_of_unit(model):
     # for d=1, pi=0, kappa=-1: 1 x pt + pt x 1 + h x h - k x k
     got = {}
     for left, right in model.diagonal(model.unit()):
-        for s1, c1 in left.coeff.items():
-            for s2, c2 in right.coeff.items():
+        for s1, c1 in left.terms.items():
+            for s2, c2 in right.terms.items():
                 got[(s1, s2)] = got.get((s1, s2), Q(0)) + c1 * c2
     assert got == {
         ("1", "pt"): Q(1),
