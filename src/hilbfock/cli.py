@@ -77,7 +77,12 @@ _BUNDLE_K_RE = re.compile(r"^(-?)K\(rank=(-?\d+),c1=([^,)]*),c2=([^)]*)\)$")
 
 
 def parse_bundle(text: str, model) -> KClassSpec:
-    """Parse a K-class literal such as ``L(c1=h)`` or ``-L(c1=2h-k)``."""
+    """Parse a K-class literal such as ``L(c1=h)`` or ``-L(c1=2h-k)``.
+
+    On the command line a negated literal must be joined to its option,
+    ``--bundle=-L(c1=2h-k)``: argparse reads a separate value that starts
+    with ``-`` as an option.
+    """
     text = text.strip().replace(" ", "")
     m = _BUNDLE_RE.match(text)
     if m:
@@ -149,7 +154,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chern", help="tautological total Chern class")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bundle", required=True, help='e.g. "L(c1=h)"')
+    p.add_argument(
+        "--bundle",
+        required=True,
+        help='e.g. "L(c1=h)"; join a negated literal: --bundle=-L(c1=2h-k)',
+    )
     p.add_argument("--character", action="store_true")
     _model_args(p)
     return top

@@ -3,15 +3,21 @@
 Surface classes, Fock vectors and the polynomial models are all finite
 combinations of basis keys with ``Fraction`` coefficients.  The
 constructor of :class:`Combination` normalises them, so a ``terms`` dict
-never holds a zero value.
+never holds a zero value.  Hot loops may instead hold a combination as an
+:data:`IntVec`, integer numerators over one common denominator, which
+avoids a ``Fraction`` gcd per operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
 Q = Fraction
+
+#: Integer numerators over one common denominator: ``num[k] / den``.
+IntVec = Tuple[Dict[Hashable, int], int]
 
 
 def rat(x) -> Q:
@@ -35,6 +41,36 @@ def axpy(acc: Dict[Hashable, Q], v: Mapping[Hashable, Q], c: Q) -> None:
                 acc[k] = y
             else:
                 del acc[k]
+
+
+def int_vec(v: Mapping[Hashable, Q]) -> IntVec:
+    """A rational term dict as integer numerators over their lcm."""
+    den = lcm(*(x.denominator for x in v.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in v.items()}, den
+
+
+def int_reduce(num: Dict[Hashable, int], den: int) -> IntVec:
+    """Drop the zero numerators and divide out the common content."""
+    num = {k: x for k, x in num.items() if x}
+    g = gcd(den, *num.values())
+    if g > 1:
+        num = {k: x // g for k, x in num.items()}
+        den //= g
+    return num, den
+
+
+def int_combine(parts: Iterable[Tuple[Q, IntVec]]) -> IntVec:
+    """``sum of c * v`` over ``(c, v)`` in ``parts``, with c rational."""
+    scaled = [(c.numerator, num, den * c.denominator) for c, (num, den) in parts]
+    den = lcm(*(d for _, num, d in scaled if num))
+    out: Dict[Hashable, int] = {}
+    get = out.get
+    for c, num, d in scaled:
+        if c and num:
+            f = c * (den // d)
+            for k, x in num.items():
+                out[k] = get(k, 0) + f * x
+    return int_reduce(out, den)
 
 
 def render_sum(items: Iterable[Tuple[Q, str]], sep: str = "") -> str:

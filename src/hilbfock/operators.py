@@ -9,25 +9,28 @@ where L_n is the Virasoro operator built from the diagonal class and K is
 the canonical class of the surface.  Higher derivatives of operators are
 iterated commutators with the boundary.
 
-An :class:`OperatorEngine` instance owns per-model memoization caches; all
-heavy computations are performed monomial-by-monomial through these caches.
+An :class:`OperatorEngine` instance owns per-model memoization caches: the
+oscillators, Virasoro operators, boundary operator and derivatives are
+computed monomial by monomial through them.  The Chern class operators act
+on whole vectors in integer arithmetic on top of the boundary memo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Dict, List, Tuple
+from functools import partial
+from math import comb, factorial, lcm
+from typing import Callable, Dict, List, Tuple
 
 from .fock import (
     FockVector,
     Monomial,
-    mono_degree,
+    mono_insert,
     mono_weight,
     q_mono,
     vacuum,
 )
-from .linear import axpy
+from .linear import IntVec, axpy, int_combine, int_reduce, int_vec
 from .surface import CohClass, KClassSpec, SurfaceModel
 
 Q = Fraction
@@ -205,40 +208,97 @@ class OperatorEngine:
 
     # -- Chern class operators ---------------------------------------------
 
-    def big_c_apply(
-        self, u: KClassSpec, v: FockVector, degree_budget: int
-    ) -> FockVector:
+    def _boundary_int(self, v: IntVec) -> IntVec:
+        """The boundary operator on an integer vector, exactly."""
+        num, den = v
+        images = [(c, self._boundary_mono(M)) for M, c in num.items()]
+        scale = lcm(*(x.denominator for _, b in images for x in b.values()))
+        out: Dict[Monomial, int] = {}
+        get = out.get
+        for c, b in images:
+            for M, x in b.items():
+                out[M] = get(M, 0) + c * x.numerator * (scale // x.denominator)
+        return int_reduce(out, den * scale)
+
+    def _ad_series(
+        self, series: List[Tuple[Callable[[int], Q], Dict[str, Q]]], v: Vec
+    ) -> Vec:
+        """The sum over ``(b, c)`` in ``series`` and over nu of
+        ``b(nu) * ad^nu(q_1(c)) v``, by the identity and stopping rule
+        stated in :meth:`big_c_apply`.
+
+        Inside, vectors are integer numerators over one common denominator
+        each (:data:`IntVec`); the result is converted back to Fractions.
+        """
+        if not v:
+            return {}
+        top = 2 * (max(mono_weight(M) for M in v) + 1)
+        rows = []
+        for b, cls in series:
+            row = [b(nu) for nu in range(top + 1)]
+            while row and not row[-1]:
+                row.pop()
+            if row and cls:
+                rows.append((row, cls))
+        nu_last = max((len(row) for row, _ in rows), default=0) - 1
+        powers = [int_vec(v)]
+        while len(powers) <= nu_last:
+            p = self._boundary_int(powers[-1])
+            if not p[0]:
+                break
+            powers.append(p)
+        # q_1(sym) D^j v, a relabelling of D^j v shared by every i
+        created: Dict[Tuple[str, int], IntVec] = {}
+        acc: IntVec = ({}, 1)
+        for i in range(nu_last, -1, -1):
+            # y_i as coefficients of q_1(sym) D^j v, keyed by (sym, j)
+            coeffs: Dict[Tuple[str, int], Q] = {}
+            for row, cls in rows:
+                for j in range(min(len(powers), len(row) - i)):
+                    f = row[i + j] * comb(i + j, i)
+                    if j % 2:
+                        f = -f
+                    for sym, cc in cls.items():
+                        key = (sym, j)
+                        coeffs[key] = coeffs.get(key, 0) + f * cc
+            parts = [(Q(1), self._boundary_int(acc))]
+            for (sym, j), f in coeffs.items():
+                q1 = created.get((sym, j))
+                if q1 is None:
+                    num, den = powers[j]
+                    q1 = created[sym, j] = (
+                        {mono_insert(M, 1, sym): c for M, c in num.items()},
+                        den,
+                    )
+                parts.append((f, q1))
+            acc = int_combine(parts)
+        num, den = acc
+        return {M: Q(c, den) for M, c in num.items()}
+
+    def big_c_apply(self, u: KClassSpec, v: FockVector) -> FockVector:
         """Apply the total Chern class operator of the tautological sheaf of u.
 
-        The operator is the sum over nu, k of
-        ``binomial(rank - k, nu) * q_1^(nu)(c_k(u))``.  Terms whose image
-        would exceed the degree budget are skipped; within the budget the
-        result is exact.
+        The operator is the sum over nu and k = 0, 1, 2 of
+        ``binomial(rank - k, nu) * ad^nu(q_1(c_k(u)))``, where ad is the
+        commutator with the boundary operator D.  Expanding
+        ad^nu(X) = sum over i + j = nu of binomial(nu, i) (-1)^j D^i X D^j
+        gives the exact identity
+
+            sum_nu b_nu ad^nu(X) v
+                = sum_i D^i X [ sum_j b_(i+j) binomial(i+j, i) (-1)^j D^j v ],
+
+        so the powers ``D^j v`` are formed once and shared by the three
+        classes, and the sum over i is taken by Horner's rule,
+        acc <- D acc + y_i.  nu stops at the last nonzero b_nu, and j where
+        ``D^j v`` vanishes: a vector of weight at most w has degree at most
+        4w and D raises the degree by 2, so nu <= 2(w + 1) suffices for a
+        result of weight w + 1.  The result is exact.
         """
-        model = self.model
-        components = [
-            (0, {"1": Q(1)}),
-            (1, u.c1.terms),
-            (2, u.c2.terms),
+        series = [
+            (partial(gen_binomial, u.rank - k), cls)
+            for k, cls in ((0, {"1": Q(1)}), (1, u.c1.terms), (2, u.c2.terms))
         ]
-        out: Vec = {}
-        for M, cv in v.terms.items():
-            g = mono_degree(M, model)
-            nu_max = (degree_budget - g) // 2
-            for nu in range(0, nu_max + 1):
-                for k, cls in components:
-                    b = gen_binomial(u.rank - k, nu)
-                    if not b:
-                        continue
-                    for sym, cc in cls.items():
-                        if g + 2 * nu + model.degree[sym] > degree_budget:
-                            continue
-                        axpy(
-                            out,
-                            self._qderiv_mono(1, nu, sym, M),
-                            cv * b * cc,
-                        )
-        return FockVector(out)
+        return FockVector(self._ad_series(series, v.terms))
 
     def total_chern_classes(self, u: KClassSpec, n_max: int) -> List[FockVector]:
         """Total Chern classes of the tautological sheaves for 0 <= n <= n_max.
@@ -250,7 +310,7 @@ class OperatorEngine:
         comps = [vacuum()]
         v = vacuum()
         for j in range(1, n_max + 1):
-            v = self.big_c_apply(u, v, 4 * j).scale(Q(1, j))
+            v = self.big_c_apply(u, v).scale(Q(1, j))
             comps.append(v)
         return comps
 
@@ -259,27 +319,19 @@ class OperatorEngine:
 
         Uses the commutator expansion of the Chern character operator with
         q_1(1) to peel the fundamental class q_1(1)^n / n! of the weight-n
-        space one factor at a time.
+        space one factor at a time.  The commutator is
+        ``sum over nu of ad^nu(q_1(ch(u))) / nu!``, i.e.
+        ``exp(D) q_1(ch(u)) exp(-D)`` with D the boundary operator.
         """
-        model = self.model
-        ch = u.chern_character(model)
+        series = [
+            (lambda nu: Q(1, factorial(nu)), u.chern_character(self.model).terms)
+        ]
         g: Vec = {}
         w: Vec = {(): Q(1)}
-        unit = "1"
-        for j in range(1, n + 1):
-            g2 = self._q_vec(1, unit, g)
-            for M, c in w.items():
-                gdeg = mono_degree(M, model)
-                nu = 0
-                while gdeg + 2 * nu <= 4 * n:
-                    f = Q(1, factorial(nu))
-                    for sym, cc in ch.terms.items():
-                        if gdeg + 2 * nu + model.degree[sym] > 4 * n:
-                            continue
-                        axpy(g2, self._qderiv_mono(1, nu, sym, M), c * cc * f)
-                    nu += 1
-            g = g2
-            w = self._q_vec(1, unit, w)
+        for _ in range(n):
+            g = self._q_vec(1, "1", g)
+            axpy(g, self._ad_series(series, w), Q(1))
+            w = self._q_vec(1, "1", w)
         return FockVector(g).scale(Q(1, factorial(n)))
 
     # -- vertex operator ---------------------------------------------------

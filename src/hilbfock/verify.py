@@ -461,8 +461,8 @@ def suite_worked_example(sampler: Optional[Sampler] = None) -> Iterator[Case]:
     powers = [model.unit()]
     for _ in range(6):
         powers.append(model.mul(powers[-1], alpha))
-    v1 = eng.big_c_apply(u, vacuum(), 8)
-    v2 = eng.big_c_apply(u, v1, 8)
+    v1 = eng.big_c_apply(u, vacuum())
+    v2 = eng.big_c_apply(u, v1)
     # expected expansion: q1(a)q1(a) + q2(a^3) - q2'(a^4) + q2''(a^5) - q2'''(a^6)
     expected = (
         eng.q(1, alpha, eng.q(1, alpha, vacuum()))

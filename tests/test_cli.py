@@ -93,6 +93,11 @@ def test_chern_line_bundle(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["class"] == "q1[1+h]"
+    # a negated literal, joined to its option
+    code, out = run_cli(capsys, "chern", "--n", "1", "--bundle=-L(c1=2h-k)")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["class"] == "q1[1-2*h+k+3*pt]"
 
 
 def test_chern_malformed_bundle(capsys):

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction as Q
-from math import comb
+from functools import partial
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbfock import CohClass, KClassSpec, pairing, vacuum
-from hilbfock.fock import FockVector, render_vector
+from hilbfock.fock import FockVector, monomials, render_vector
+from hilbfock.operators import gen_binomial
 from hilbfock.verify import (
     random_vector,
     suite_derivative,
@@ -137,12 +141,82 @@ def test_chern_operator_of_line_bundle(engine, model):
     rng = random.Random(17)
     for _ in range(5):
         v = random_vector(model, rng, 3)
-        got = engine.big_c_apply(L, v, 40)
+        got = engine.big_c_apply(L, v)
         want = (
             engine.q(1, L.total_chern(model), v)
             + engine.q_derivative(1, 1, model.unit(), v)
         )
         assert got == want
+
+
+_rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _k_class(data, model):
+    middle = [s for s in model.symbols if model.degree[s] == 2]
+    c1 = CohClass({s: data.draw(_rats) for s in middle})
+    return KClassSpec(
+        data.draw(st.integers(-3, 3)), c1, CohClass({"pt": data.draw(_rats)})
+    )
+
+
+def _vector(data, model, max_weight):
+    basis = monomials(model, max_weight)
+    terms = data.draw(
+        st.dictionaries(
+            st.sampled_from(basis), _rats.filter(bool), min_size=1, max_size=4
+        )
+    )
+    # q_1(1)^w has degree 0, the only monomial of weight w on which
+    # ad^nu(q_1(1)) survives up to the largest nu = 2(w + 1)
+    w = data.draw(st.integers(1, max_weight))
+    terms[((1, "1"),) * w] = data.draw(_rats.filter(bool))
+    return FockVector(terms)
+
+
+def _ad_expansion(engine, b, c, v, nu_max):
+    # sum over nu <= nu_max of b(nu) * q_1^(nu)(c) v, one derivative at a time
+    out = FockVector()
+    for nu in range(nu_max + 1):
+        out = out + engine.q_derivative(1, nu, c, v).scale(b(nu))
+    return out
+
+
+# ad^nu(q_1(c)) raises the degree by 2*nu and a weight-4 vector has degree
+# at most 16, so nu <= 8 exhausts the expansion on weight <= 3; nu runs one
+# further so that the oracle does not share the kernel's stopping rule.
+NU_MAX = 9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_chern_operator_is_its_derivative_expansion(engine, engine_b2, data):
+    eng = data.draw(st.sampled_from((engine, engine_b2)))
+    model = eng.model
+    u = _k_class(data, model)
+    v = _vector(data, model, 3)
+    want = FockVector()
+    for k, c in enumerate((model.unit(), u.c1, u.c2)):
+        b = partial(gen_binomial, u.rank - k)
+        want = want + _ad_expansion(eng, b, c, v, NU_MAX)
+    assert eng.big_c_apply(u, v) == want
+
+
+@pytest.mark.parametrize("which", ["model", "model_b2"])
+def test_chern_character_is_its_derivative_expansion(request, which):
+    # peel q_1(1)^n / n!: g_j = q_1(1) g_(j-1) + sum_nu ad^nu(q_1(ch)) / nu!
+    # applied to q_1(1)^(j-1) vacuum
+    model = request.getfixturevalue(which)
+    eng = request.getfixturevalue(which.replace("model", "engine"))
+    u = KClassSpec(-2, model.h_class() - model.canonical_class(), model.point())
+    ch = u.chern_character(model)
+    g, w = FockVector(), vacuum()
+    for n in range(1, 4):
+        g = eng.q(1, model.unit(), g) + _ad_expansion(
+            eng, lambda nu: Q(1, factorial(nu)), ch, w, NU_MAX
+        )
+        w = eng.q(1, model.unit(), w)
+        assert eng.chern_char_class(u, n) == g.scale(Q(1, factorial(n)))
 
 
 def test_total_chern_weight_zero_and_one(engine, model):

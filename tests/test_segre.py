@@ -4,7 +4,7 @@ import os
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hilbfock import ENGINE_VERSION, new_model, segre
@@ -22,6 +22,7 @@ from hilbfock.segre import (
     solve_overdetermined,
     support_monomials,
 )
+from hilbfock.series import conjecture_series
 
 
 def n2_poly():
@@ -59,6 +60,19 @@ def test_segre_numbers_small(model):
     assert segre_number(2, new_model(2, 1, -1, 1)) == n2_poly().evaluate(
         2, 1, -1, 5
     )
+
+
+_params = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_params, _params, _params, st.integers(0, 2))
+def test_segre_series_is_the_closed_form(d, pi, kappa, b2):
+    # the closed-form generating series is a theorem (Marian-Oprea-
+    # Pandharipande), so it is an exact oracle on any nondegenerate model
+    assume(d * kappa != pi * pi)
+    want = conjecture_series(d, pi, kappa, 4 + b2, 5).coeffs
+    assert segre_series(5, new_model(d, pi, kappa, b2)) == list(want)
 
 
 def test_support_monomials():
