@@ -61,6 +61,13 @@ def _rat_arg(text: str) -> Q:
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
 
 
+def _jobs_arg(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def _emit(command: str, parameters: dict, result, ok: bool = True) -> None:
     doc = {
         "engine_version": ENGINE_VERSION,
@@ -139,12 +146,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--symbolic", action="store_true")
     _model_args(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_arg, default=1)
     p.add_argument("--cache", default=None, help="sample cache file (JSONL)")
 
     p = sub.add_parser("dm", help="log-series coefficients")
     p.add_argument("--max-m", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_arg, default=1)
     p.add_argument("--cache", default=None)
 
     p = sub.add_parser("conjecture", help="compare with the closed form")

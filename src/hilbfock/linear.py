@@ -49,6 +49,12 @@ def int_vec(v: Mapping[Hashable, Q]) -> IntVec:
     return {k: x.numerator * (den // x.denominator) for k, x in v.items()}, den
 
 
+def frac_vec(v: IntVec) -> Dict[Hashable, Q]:
+    """An integer vector as a rational term dict; the inverse of :func:`int_vec`."""
+    num, den = v
+    return {k: Q(x, den) for k, x in num.items()}
+
+
 def int_reduce(num: Dict[Hashable, int], den: int) -> IntVec:
     """Drop the zero numerators and divide out the common content."""
     num = {k: x for k, x in num.items() if x}
@@ -62,7 +68,7 @@ def int_reduce(num: Dict[Hashable, int], den: int) -> IntVec:
 def int_combine(parts: Iterable[Tuple[Q, IntVec]]) -> IntVec:
     """``sum of c * v`` over ``(c, v)`` in ``parts``, with c rational."""
     scaled = [(c.numerator, num, den * c.denominator) for c, (num, den) in parts]
-    den = lcm(*(d for _, num, d in scaled if num))
+    den = lcm(*(d for c, num, d in scaled if c and num))
     out: Dict[Hashable, int] = {}
     get = out.get
     for c, num, d in scaled:

@@ -10,16 +10,17 @@ the canonical class of the surface.  Higher derivatives of operators are
 iterated commutators with the boundary.
 
 An :class:`OperatorEngine` instance owns per-model memoization caches: the
-oscillators, Virasoro operators, boundary operator and derivatives are
-computed monomial by monomial through them.  The Chern class operators act
-on whole vectors in integer arithmetic on top of the boundary memo.
+oscillators, Virasoro operators and first derivatives are memoized monomial
+by monomial over ``Fraction``, the boundary operator as integer vectors.
+The higher derivatives ad^nu(q_n) and the Chern class operators act on whole
+vectors through one integer kernel, :meth:`OperatorEngine._ad_series`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Callable, Dict, List, Tuple
 
 from .fock import (
@@ -30,7 +31,7 @@ from .fock import (
     q_mono,
     vacuum,
 )
-from .linear import IntVec, axpy, int_combine, int_reduce, int_vec
+from .linear import IntVec, axpy, frac_vec, int_combine, int_vec
 from .surface import CohClass, KClassSpec, SurfaceModel
 
 Q = Fraction
@@ -54,8 +55,19 @@ class OperatorEngine:
         self._q_cache: Dict[Tuple[int, str, Monomial], Vec] = {}
         self._L_cache: Dict[Tuple[int, str, Monomial], Vec] = {}
         self._qp_cache: Dict[Tuple[int, str, Monomial], Vec] = {}
-        self._b_cache: Dict[Monomial, Vec] = {}
+        self._b_cache: Dict[Monomial, IntVec] = {}
+        # Always empty: higher derivatives are not memoized per monomial.
+        # It stays because the traced benchmark run (perfbench/probes.py)
+        # reads the size of every cache attribute.
         self._qd_cache: Dict[Tuple[int, int, str, Monomial], Vec] = {}
+
+    def _apply(self, mono: Callable, m: int, a: CohClass, v: FockVector) -> FockVector:
+        """The monomial operator ``mono(m, sym, M)``, extended bilinearly."""
+        out: Vec = {}
+        for sym, ca in a.terms.items():
+            for M, c in v.terms.items():
+                axpy(out, mono(m, sym, M), c * ca)
+        return FockVector(out)
 
     # -- oscillators -------------------------------------------------------
 
@@ -73,11 +85,14 @@ class OperatorEngine:
         return out
 
     def q(self, m: int, a: CohClass, v: FockVector) -> FockVector:
-        out: Vec = {}
-        for sym, ca in a.terms.items():
-            for M, c in v.terms.items():
-                axpy(out, self._q_mono(m, sym, M), c * ca)
-        return FockVector(out)
+        return self._apply(self._q_mono, m, a, v)
+
+    def _q_int(self, m: int, sym: str, v: IntVec) -> IntVec:
+        """q_m(sym) on an integer vector: for m >= 1 a relabelling."""
+        num, den = v
+        if m > 0:
+            return {mono_insert(M, m, sym): c for M, c in num.items()}, den
+        return int_vec(self._q_vec(m, sym, frac_vec(v)))
 
     # -- Virasoro operators ------------------------------------------------
 
@@ -116,11 +131,7 @@ class OperatorEngine:
         return out
 
     def virasoro(self, m: int, a: CohClass, v: FockVector) -> FockVector:
-        out: Vec = {}
-        for sym, ca in a.terms.items():
-            for M, c in v.terms.items():
-                axpy(out, self._L_mono(m, sym, M), c * ca)
-        return FockVector(out)
+        return self._apply(self._L_mono, m, a, v)
 
     def e_op(self, n: int, a: CohClass, v: FockVector) -> FockVector:
         """The operator with e_n + L_n equal to the truncated quadratic sum."""
@@ -157,82 +168,65 @@ class OperatorEngine:
         self._qp_cache[key] = out
         return out
 
-    def _boundary_mono(self, M: Monomial) -> Vec:
+    def _boundary_mono(self, M: Monomial) -> IntVec:
         out = self._b_cache.get(M)
-        if out is not None:
-            return out
-        if not M:
-            out = {}
-        else:
-            (n, s), rest = M[0], M[1:]
-            out = dict(self._qprime_mono(n, s, rest))
-            for M2, c in self._boundary_mono(rest).items():
-                axpy(out, self._q_mono(n, s, M2), c)
-        self._b_cache[M] = out
+        if out is None:
+            if not M:
+                out = ({}, 1)
+            else:
+                # D q_n(s) rest = q_n'(s) rest + q_n(s) D rest
+                (n, s), rest = M[0], M[1:]
+                head = int_vec(self._qprime_mono(n, s, rest))
+                tail = self._q_int(n, s, self._boundary_mono(rest))
+                out = int_combine([(1, head), (1, tail)])
+            self._b_cache[M] = out
         return out
-
-    def boundary(self, v: FockVector) -> FockVector:
-        out: Vec = {}
-        for M, c in v.terms.items():
-            axpy(out, self._boundary_mono(M), c)
-        return FockVector(out)
-
-    def _qderiv_mono(self, n: int, nu: int, sym: str, M: Monomial) -> Vec:
-        if nu == 0:
-            return self._q_mono(n, sym, M)
-        if nu == 1:
-            return self._qprime_mono(n, sym, M)
-        key = (n, nu, sym, M)
-        out = self._qd_cache.get(key)
-        if out is not None:
-            return out
-        out = {}
-        for M2, c in self._qderiv_mono(n, nu - 1, sym, M).items():
-            axpy(out, self._boundary_mono(M2), c)
-        for M2, c in self._boundary_mono(M).items():
-            axpy(out, self._qderiv_mono(n, nu - 1, sym, M2), -c)
-        self._qd_cache[key] = out
-        return out
-
-    def q_derivative(
-        self, n: int, order: int, a: CohClass, v: FockVector
-    ) -> FockVector:
-        """The order-th derivative of q_n(a): iterated boundary commutator."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        out: Vec = {}
-        for sym, ca in a.terms.items():
-            for M, c in v.terms.items():
-                axpy(out, self._qderiv_mono(n, order, sym, M), c * ca)
-        return FockVector(out)
-
-    # -- Chern class operators ---------------------------------------------
 
     def _boundary_int(self, v: IntVec) -> IntVec:
         """The boundary operator on an integer vector, exactly."""
         num, den = v
-        images = [(c, self._boundary_mono(M)) for M, c in num.items()]
-        scale = lcm(*(x.denominator for _, b in images for x in b.values()))
-        out: Dict[Monomial, int] = {}
-        get = out.get
-        for c, b in images:
-            for M, x in b.items():
-                out[M] = get(M, 0) + c * x.numerator * (scale // x.denominator)
-        return int_reduce(out, den * scale)
+        parts = []
+        for M, c in num.items():
+            bnum, bden = self._boundary_mono(M)
+            parts.append((c, (bnum, bden * den)))
+        return int_combine(parts)
+
+    def boundary(self, v: FockVector) -> FockVector:
+        images = ((c, self._boundary_mono(M)) for M, c in v.terms.items())
+        return FockVector(frac_vec(int_combine(images)))
+
+    # -- derivatives: one whole-vector kernel ------------------------------
 
     def _ad_series(
-        self, series: List[Tuple[Callable[[int], Q], Dict[str, Q]]], v: Vec
+        self,
+        n: int,
+        series: List[Tuple[Callable[[int], Q], Dict[str, Q]]],
+        v: Vec,
     ) -> Vec:
         """The sum over ``(b, c)`` in ``series`` and over nu of
-        ``b(nu) * ad^nu(q_1(c)) v``, by the identity and stopping rule
-        stated in :meth:`big_c_apply`.
+        ``b(nu) * ad^nu(q_n(c)) v``, where ad is the commutator with the
+        boundary operator D.
+
+        Expanding ad^nu(X) = sum over i + j = nu of
+        binomial(nu, i) (-1)^j D^i X D^j gives the exact identity
+
+            sum_nu b_nu ad^nu(X) v
+                = sum_i D^i X [ sum_j b_(i+j) binomial(i+j, i) (-1)^j D^j v ],
+
+        so the powers ``D^j v`` are formed once and shared by every class,
+        and the sum over i is taken by Horner's rule, acc <- D acc + y_i.
+        nu stops at the last nonzero b_nu, and j where ``D^j v`` vanishes.
+        On a vector of weight at most w, nu <= 2w + n + 1 suffices:
+        ad^nu(q_n(c)) raises the degree by 2(n + nu - 1) + deg c, and its
+        result, of weight w + n, has degree at most 4(w + n).
 
         Inside, vectors are integer numerators over one common denominator
-        each (:data:`IntVec`); the result is converted back to Fractions.
+        each (:data:`IntVec`), and D is read from the integer boundary memo;
+        the result is converted back to Fractions.
         """
         if not v:
             return {}
-        top = 2 * (max(mono_weight(M) for M in v) + 1)
+        top = 2 * max(mono_weight(M) for M in v) + n + 1
         rows = []
         for b, cls in series:
             row = [b(nu) for nu in range(top + 1)]
@@ -247,14 +241,16 @@ class OperatorEngine:
             if not p[0]:
                 break
             powers.append(p)
-        # q_1(sym) D^j v, a relabelling of D^j v shared by every i
+        # q_n(sym) D^j v, shared by every i
         created: Dict[Tuple[str, int], IntVec] = {}
         acc: IntVec = ({}, 1)
         for i in range(nu_last, -1, -1):
-            # y_i as coefficients of q_1(sym) D^j v, keyed by (sym, j)
+            # y_i as coefficients of q_n(sym) D^j v, keyed by (sym, j)
             coeffs: Dict[Tuple[str, int], Q] = {}
             for row, cls in rows:
                 for j in range(min(len(powers), len(row) - i)):
+                    if not row[i + j]:
+                        continue
                     f = row[i + j] * comb(i + j, i)
                     if j % 2:
                         f = -f
@@ -263,42 +259,47 @@ class OperatorEngine:
                         coeffs[key] = coeffs.get(key, 0) + f * cc
             parts = [(Q(1), self._boundary_int(acc))]
             for (sym, j), f in coeffs.items():
-                q1 = created.get((sym, j))
-                if q1 is None:
-                    num, den = powers[j]
-                    q1 = created[sym, j] = (
-                        {mono_insert(M, 1, sym): c for M, c in num.items()},
-                        den,
-                    )
-                parts.append((f, q1))
+                x = created.get((sym, j))
+                if x is None:
+                    x = created[sym, j] = self._q_int(n, sym, powers[j])
+                parts.append((f, x))
             acc = int_combine(parts)
-        num, den = acc
-        return {M: Q(c, den) for M, c in num.items()}
+        return frac_vec(acc)
+
+    def q_derivative(
+        self, n: int, order: int, a: CohClass, v: FockVector
+    ) -> FockVector:
+        """The order-th derivative of q_n(a): iterated boundary commutator.
+
+        Order 1 is Lehn's commutator rule, memoized per monomial; higher
+        orders are the kernel :meth:`_ad_series` with b_nu = [nu == order].
+        """
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        if order == 0:
+            return self._apply(self._q_mono, n, a, v)
+        if order == 1:
+            return self._apply(self._qprime_mono, n, a, v)
+        series = [(lambda nu: int(nu == order), a.terms)]
+        return FockVector(self._ad_series(n, series, v.terms))
+
+    # -- Chern class operators ---------------------------------------------
 
     def big_c_apply(self, u: KClassSpec, v: FockVector) -> FockVector:
         """Apply the total Chern class operator of the tautological sheaf of u.
 
         The operator is the sum over nu and k = 0, 1, 2 of
         ``binomial(rank - k, nu) * ad^nu(q_1(c_k(u)))``, where ad is the
-        commutator with the boundary operator D.  Expanding
-        ad^nu(X) = sum over i + j = nu of binomial(nu, i) (-1)^j D^i X D^j
-        gives the exact identity
-
-            sum_nu b_nu ad^nu(X) v
-                = sum_i D^i X [ sum_j b_(i+j) binomial(i+j, i) (-1)^j D^j v ],
-
-        so the powers ``D^j v`` are formed once and shared by the three
-        classes, and the sum over i is taken by Horner's rule,
-        acc <- D acc + y_i.  nu stops at the last nonzero b_nu, and j where
-        ``D^j v`` vanishes: a vector of weight at most w has degree at most
-        4w and D raises the degree by 2, so nu <= 2(w + 1) suffices for a
-        result of weight w + 1.  The result is exact.
+        commutator with the boundary operator.  It is evaluated by the
+        kernel :meth:`_ad_series` with X = q_1(c), so the boundary powers of
+        v are shared by the three classes and nu <= 2(w + 1) on a vector of
+        weight at most w.  The result is exact.
         """
         series = [
             (partial(gen_binomial, u.rank - k), cls)
             for k, cls in ((0, {"1": Q(1)}), (1, u.c1.terms), (2, u.c2.terms))
         ]
-        return FockVector(self._ad_series(series, v.terms))
+        return FockVector(self._ad_series(1, series, v.terms))
 
     def total_chern_classes(self, u: KClassSpec, n_max: int) -> List[FockVector]:
         """Total Chern classes of the tautological sheaves for 0 <= n <= n_max.
@@ -330,7 +331,7 @@ class OperatorEngine:
         w: Vec = {(): Q(1)}
         for _ in range(n):
             g = self._q_vec(1, "1", g)
-            axpy(g, self._ad_series(series, w), Q(1))
+            axpy(g, self._ad_series(1, series, w), Q(1))
             w = self._q_vec(1, "1", w)
         return FockVector(g).scale(Q(1, factorial(n)))
 

@@ -393,7 +393,7 @@ def _fill_values(
     if jobs > 1 and len(missing) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(missing))) as pool:
             results = pool.map(
                 _series_worker, [(n_max, p) for p in missing]
             )
@@ -506,6 +506,13 @@ KNOWN_DM: Dict[int, UnivPoly] = {
     5: _lin(16016, 22120, 9440, -4880),
     6: _lin(198016, 314738, 151260, -70976),
     7: _lin(2480640, 4402720, 2326912, -1012032),
+    # d_8..d_10 are past the published table: computed by ``dm --max-m 10``
+    # (operator calculus and interpolation) and equal to the log
+    # coefficients of the closed-form series, which is a theorem
+    # (Marian-Oprea-Pandharipande), at several rational parameter tuples.
+    8: _lin(31380096, 60954531, 34858362, -14251584),
+    9: _lin(399942400, 838236984, 512645008, -199010816),
+    10: _lin(5127682560, 11474150150, 7438370036, -2762424576),
 }
 
 

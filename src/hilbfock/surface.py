@@ -99,7 +99,6 @@ class SurfaceModel:
 
         extras = tuple("u%d" % (i + 1) for i in range(b2_extra))
         self.symbols: Tuple[str, ...] = ("1", "h", "k") + extras + ("pt",)
-        self.symbol_index = {s: i for i, s in enumerate(self.symbols)}
         self.degree = {"1": 0, "h": 2, "k": 2, "pt": 4}
         for u in extras:
             self.degree[u] = 2

@@ -142,6 +142,8 @@ def test_console_entry_point():
         ["--max-weight", "3", "verify", "e-op", "--max-n", "9"],
         ["verify", "e-op", "--max-n", "5"],
         ["segre", "--n", "9", "--symbolic"],
+        ["segre", "--n", "2", "--symbolic", "--jobs", "0"],
+        ["dm", "--max-m", "2", "--jobs", "-1"],
     ],
     ids=[
         "segre-negative-n",
@@ -152,6 +154,8 @@ def test_console_entry_point():
         "verify-max-n-over-guard",
         "verify-e-op-over-largest",
         "segre-symbolic-rank-deficient",
+        "segre-jobs-zero",
+        "dm-jobs-negative",
     ],
 )
 def test_out_of_range_sizes_are_usage_errors(capsys, argv):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfock import CohClass, KClassSpec, pairing, vacuum
-from hilbfock.fock import FockVector, monomials, render_vector
+from hilbfock.fock import FockVector, mono_weight, monomials, render_vector
 from hilbfock.operators import gen_binomial
 from hilbfock.verify import (
     random_vector,
@@ -97,17 +97,23 @@ def test_derivative_of_vacuum_vanishes(engine, model):
         assert engine.q_derivative(1, nu, model.h_class(), vacuum()).is_zero()
 
 
-def test_second_derivative_recursion(engine, model):
-    # q'' = boundary q' - q' boundary, on a few vectors
-    rng = random.Random(9)
-    a = model.h_class()
-    for _ in range(5):
-        v = random_vector(model, rng, 3)
-        lhs = engine.q_derivative(2, 2, a, v)
-        rhs = engine.boundary(
-            engine.q_derivative(2, 1, a, v)
-        ) - engine.q_derivative(2, 1, a, engine.boundary(v))
-        assert lhs == rhs
+def test_second_derivative_recursion(engine, engine_b2):
+    # the definition q_n^(nu+1) v = D q_n^(nu) v - q_n^(nu) D v, from Lehn's
+    # first derivative up, on every basis class and monomial of weight
+    # w <= 3; nu runs past 2w + n + 1, the last order that can be nonzero
+    for eng in (engine, engine_b2):
+        model = eng.model
+        for M in monomials(model, 3):
+            v = FockVector({M: 1})
+            dv = eng.boundary(v)
+            for n in (-2, -1, 1, 2, 3):
+                for sym in model.symbols:
+                    a = CohClass({sym: 1})
+                    cur = eng.q_derivative(n, 1, a, v)
+                    for nu in range(1, 2 * mono_weight(M) + n + 3):
+                        prev, cur = cur, eng.q_derivative(n, nu + 1, a, v)
+                        want = eng.boundary(prev) - eng.q_derivative(n, nu, a, dv)
+                        assert cur == want, (model, M, n, sym, nu)
 
 
 def test_derivative_bracket_suite_small():

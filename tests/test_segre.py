@@ -114,6 +114,23 @@ def test_dm_coefficients_match_known(sampler):
     assert dms[3] == KNOWN_DM[3]
 
 
+@pytest.mark.parametrize(
+    "point",
+    [
+        (Q(3, 2), Q(1, 3), Q(-2), Q(5)),
+        (Q(7), Q(-2), Q(5, 4), Q(9)),
+        (Q(1), Q(0), Q(-1), Q(4)),
+        (Q(-5, 3), Q(2, 7), Q(3), Q(11, 2)),
+    ],
+)
+def test_known_dm_are_the_closed_form_log_coefficients(point):
+    # log sum N_n z^n = sum (-1)^(m-1) d_m z^m / m, with the closed form
+    # (a theorem) as the generating series; checks d_1..d_10
+    log = conjecture_series(*point, max(KNOWN_DM)).log()
+    for m, dm in KNOWN_DM.items():
+        assert (-1) ** (m - 1) * m * log.coefficient(m) == dm.evaluate(*point), m
+
+
 def test_dm_rejects_nonlinear():
     one = UnivPoly({(0, 0, 0, 0): 1})
     bad = [one, UnivPoly({(1, 0, 0, 0): 1}), UnivPoly({(2, 0, 0, 0): 1})]
@@ -255,6 +272,34 @@ def test_n8_sample_matrix_has_full_column_rank():
         d, pi, kappa, e = int(d), int(pi), int(kappa), 4 + b2
         rows.append([d**a * pi**b * kappa**c * e**f for a, b, c, f in monos])
     assert _rank_mod(rows, 2**61 - 1) == len(monos)
+
+
+def test_pool_has_no_more_workers_than_missing_samples(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        # records its size and runs the work in this process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    sampler = Sampler()
+    grid = sample_grid(2, 3)
+    segre._fill_values(sampler, 2, grid, 64)
+    assert sizes == [3]
+    for params in grid:
+        assert sampler.series(2, params) == segre_series(2, new_model(*params))
 
 
 def test_rank_deficient_grid_is_refused_before_sampling(monkeypatch):
