@@ -9,7 +9,9 @@ The bidegree of a factor is ``(index, 2*index - 2 + deg(symbol))``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Mapping, Tuple
 
 from .linear import Combination, axpy, render_sum
@@ -21,6 +23,7 @@ Factor = Tuple[int, str]
 Monomial = Tuple[Factor, ...]
 
 
+@cache
 def _factor_key(f: Factor):
     return (-f[0], _sym_rank(f[1]))
 
@@ -36,13 +39,8 @@ def mono_degree(M: Monomial, model: SurfaceModel) -> int:
 def mono_insert(M: Monomial, n: int, sym: str) -> Monomial:
     """Insert a creation factor, keeping the canonical order."""
     f = (n, sym)
-    key = _factor_key(f)
-    out = list(M)
-    lo = 0
-    while lo < len(out) and _factor_key(out[lo]) <= key:
-        lo += 1
-    out.insert(lo, f)
-    return tuple(out)
+    at = bisect_right(M, _factor_key(f), key=_factor_key)
+    return M[:at] + (f,) + M[at:]
 
 
 def render_monomial(M: Monomial) -> str:

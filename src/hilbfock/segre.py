@@ -12,6 +12,7 @@ coefficients ``d_m`` in the four parameters.
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import json
 import os
@@ -120,10 +121,15 @@ def minus_polarization(model: SurfaceModel) -> KClassSpec:
 
 
 def segre_series(n_max: int, model: SurfaceModel) -> List[Q]:
-    """The numbers N_0 .. N_{n_max} for one surface model."""
-    comps = OperatorEngine(model).total_chern_classes(
-        minus_polarization(model), n_max
-    )
+    """The numbers N_0 .. N_{n_max} for one surface model.
+
+    ``integrate_hilb`` reads only q_1(pt)^n, of degree 4n, so the last
+    weight step forms only the degree-4n part.
+    """
+    engine, u = OperatorEngine(model), minus_polarization(model)
+    comps = engine.total_chern_classes(u, max(n_max - 1, 0))
+    if n_max > 0:
+        comps.append(engine.big_c_apply(u, comps[-1], 4 * n_max).scale(Q(1, n_max)))
     return [integrate_hilb(v, j, model) for j, v in enumerate(comps)]
 
 
@@ -132,6 +138,17 @@ def segre_number(n: int, model: SurfaceModel) -> Q:
 
 
 # -- sample cache ----------------------------------------------------------
+
+def _is_header(line: str) -> bool:
+    """Whether a cache line is the header of this engine version."""
+    from . import ENGINE_VERSION
+
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError:
+        return False
+    return isinstance(header, dict) and header.get("engine_version") == ENGINE_VERSION
+
 
 class Sampler:
     """Computes and caches the numbers N_n over many surface models.
@@ -143,7 +160,9 @@ class Sampler:
     rewritten with a fresh header before the first new record, so that new
     records are not appended below the stale header and lost on reload.
     Record lines that do not decode to a complete record are skipped and
-    counted in ``corrupt_lines``.
+    counted in ``corrupt_lines``.  Each append holds an exclusive
+    ``flock`` on the file and checks the header under it, so several
+    processes may share one cache file.
     The path may also come from the ``HILB_CACHE`` environment variable.
     """
 
@@ -152,31 +171,21 @@ class Sampler:
             cache_path = os.environ.get("HILB_CACHE") or None
         self.cache_path = cache_path
         self._mem: Dict[Tuple[int, Params], Q] = {}
-        self._stale = False
         #: record lines of the cache file that could not be decoded
         self.corrupt_lines = 0
         if cache_path:
             self._load()
 
     def _load(self) -> None:
-        from . import ENGINE_VERSION
-
         path = self.cache_path
         if not path or not os.path.exists(path):
             return
         with open(path) as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        try:
-            header = json.loads(lines[0]) if lines else None
-        except json.JSONDecodeError:
-            header = None
-        if (
-            not isinstance(header, dict)
-            or header.get("engine_version") != ENGINE_VERSION
-        ):
-            self._stale = True
+            fcntl.flock(fh, fcntl.LOCK_SH)
+            lines = fh.read().splitlines()
+        if not lines or not _is_header(lines[0]):
             return
-        for ln in lines[1:]:
+        for ln in filter(str.strip, lines[1:]):
             try:
                 rec = json.loads(ln)
                 params = (
@@ -195,13 +204,15 @@ class Sampler:
         path = self.cache_path
         if not path:
             return
-        fresh = (
-            self._stale or not os.path.exists(path) or os.path.getsize(path) == 0
-        )
-        with open(path, "w" if self._stale else "a") as fh:
-            self._stale = False
-            if fresh:
+        with open(path, "a+") as fh:
+            # the header is read under the lock, so that of two processes
+            # appending to one new or stale file only the first rewrites it
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            fh.seek(0)
+            if not _is_header(fh.readline()):
+                fh.truncate(0)
                 fh.write(json.dumps({"engine_version": ENGINE_VERSION}) + "\n")
+            fh.seek(0, os.SEEK_END)
             d, pi, kappa, b2 = params
             fh.write(
                 json.dumps(

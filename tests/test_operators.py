@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import CohClass, KClassSpec, pairing, vacuum
-from hilbfock.fock import FockVector, mono_weight, monomials, render_vector
-from hilbfock.operators import gen_binomial
+from hilbfock import CohClass, KClassSpec, new_model, pairing, vacuum
+from hilbfock.fock import (
+    FockVector,
+    mono_degree,
+    mono_weight,
+    monomials,
+    render_vector,
+)
+from hilbfock.operators import OperatorEngine, gen_binomial
 from hilbfock.verify import (
     random_vector,
     suite_derivative,
@@ -50,6 +56,25 @@ def test_boundary_raises_degree_by_two(engine, model):
                 and mono_degree(M, model) == mono_degree(N, model) + 2
                 for N in v.terms
             )
+
+
+def test_boundary_is_a_derivation(engine, engine_b2):
+    # D q_n(s) M = q_n'(s) M + q_n(s) D M, with Lehn's first derivative, on
+    # every basis class and monomial of weight <= 4; together with D|0> = 0
+    # this determines D on every monomial
+    rational = OperatorEngine(new_model(Q(3, 2), Q(1, 3), -2, 1))
+    for eng in (engine, engine_b2, rational):
+        model = eng.model
+        assert eng.boundary(vacuum()).is_zero()
+        for M in monomials(model, 4):
+            v = FockVector({M: 1})
+            dv = eng.boundary(v)
+            for n in (1, 2, 3):
+                for sym in model.symbols:
+                    a = CohClass({sym: 1})
+                    got = eng.boundary(eng.q(n, a, v))
+                    want = eng.q_derivative(n, 1, a, v) + eng.q(n, a, dv)
+                    assert got == want, (model, M, n, sym)
 
 
 def test_virasoro_creation_part_on_vacuum(engine, model):
@@ -153,6 +178,30 @@ def test_chern_operator_of_line_bundle(engine, model):
             + engine.q_derivative(1, 1, model.unit(), v)
         )
         assert got == want
+
+
+def _degree_part(v, d, model):
+    return FockVector(
+        {M: c for M, c in v.terms.items() if mono_degree(M, model) == d}
+    )
+
+
+def test_chern_operator_degree_part(engine, engine_b2):
+    # big_c_apply(u, v, d) is the degree-d part of big_c_apply(u, v)
+    for eng in (engine, engine_b2):
+        model = eng.model
+        line = KClassSpec.line_bundle(model.h_class() - model.canonical_class())
+        rank2 = KClassSpec(
+            2, model.h_class() - model.canonical_class(), model.point().scale(Q(1, 2))
+        )
+        rng = random.Random(29)
+        for u in (line, rank2):
+            for w in (1, 2, 3):
+                v = random_vector(model, rng, w, n_terms=6)
+                full = eng.big_c_apply(u, v)
+                for d in range(-1, 4 * (w + 1) + 3):
+                    want = _degree_part(full, d, model)
+                    assert eng.big_c_apply(u, v, d) == want, (model, u, w, d)
 
 
 _rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)

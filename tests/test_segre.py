@@ -1,13 +1,17 @@
 import hashlib
 import json
+import multiprocessing
 import os
+import random
+import time
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hilbfock import ENGINE_VERSION, new_model, segre
+from hilbfock import ENGINE_VERSION, integrate_hilb, new_model, segre
+from hilbfock.operators import OperatorEngine
 from hilbfock.segre import (
     KNOWN_DM,
     InconsistentSamples,
@@ -15,6 +19,7 @@ from hilbfock.segre import (
     UnivPoly,
     check_conjecture,
     dm_coefficients,
+    minus_polarization,
     sample_grid,
     segre_number,
     segre_polynomial,
@@ -73,6 +78,42 @@ def test_segre_series_is_the_closed_form(d, pi, kappa, b2):
     assume(d * kappa != pi * pi)
     want = conjecture_series(d, pi, kappa, 4 + b2, 5).coeffs
     assert segre_series(5, new_model(d, pi, kappa, b2)) == list(want)
+
+
+@pytest.mark.parametrize(
+    "params", [(Q(3, 2), Q(1, 3), -2, 1), (Q(-5, 3), Q(2, 7), 3, 2)]
+)
+def test_segre_series_top_step_is_the_full_step(params):
+    # the last step forms only the degree-4n part; integrating the whole
+    # weight-n class gives the same numbers
+    model = new_model(*params)
+    comps = OperatorEngine(model).total_chern_classes(minus_polarization(model), 6)
+    want = [integrate_hilb(v, n, model) for n, v in enumerate(comps)]
+    for n in range(7):
+        assert segre_series(n, model) == want[: n + 1]
+
+
+def _off_grid_models(rng, count, b2):
+    grid = {p for n in range(6) for p in sample_grid(n, len(support_monomials(n)) + 3)}
+    out = []
+    while len(out) < count:
+        d, pi, kappa = (Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
+        if d * kappa != pi * pi and (d, pi, kappa, b2) not in grid:
+            out.append((d, pi, kappa, b2))
+    return out
+
+
+def test_interpolated_polynomial_is_the_direct_value(sampler):
+    # segre_polynomial(n) at models off its sample grid equals N_n computed
+    # there directly
+    rng = random.Random(41)
+    polys = [segre_polynomial(n, sampler) for n in range(6)]
+    for b2 in (0, 1, 2):
+        for params in _off_grid_models(rng, 5, b2):
+            direct = segre_series(5, new_model(*params))
+            d, pi, kappa, _ = params
+            for n, poly in enumerate(polys):
+                assert poly.evaluate(d, pi, kappa, 4 + b2) == direct[n], (params, n)
 
 
 def test_support_monomials():
@@ -226,6 +267,49 @@ def test_cache_counts_corrupt_lines(tmp_path):
     s = Sampler(path)
     assert s.corrupt_lines == 3
     assert s._mem == {(2, (Q(1), Q(0), Q(-1), 0)): Q(-2)}
+
+
+def _store_records(path, first, count, start):
+    # the first json.dumps of the process, which renders the header when
+    # one is written, is slowed down: that widens the window between
+    # finding the file without a header and writing one
+    dumps = json.dumps
+
+    def slow_first(*args, **kwargs):
+        json.dumps = dumps
+        time.sleep(0.2)
+        return dumps(*args, **kwargs)
+
+    json.dumps = slow_first
+    start.wait()
+    s = Sampler(path)
+    for d in range(first, first + count):
+        s.store(2, (Q(d), Q(0), Q(-1), 0), Q(d))
+
+
+def test_two_processes_share_a_new_cache_file(tmp_path):
+    # both processes find the file missing or empty; only one may write
+    # the header, and no record may be lost
+    path = str(tmp_path / "cache.jsonl")
+    ctx = multiprocessing.get_context("spawn")
+    start = ctx.Event()
+    procs = [
+        ctx.Process(target=_store_records, args=(path, 1 + 200 * i, 200, start))
+        for i in range(2)
+    ]
+    for p in procs:
+        p.start()
+    start.set()
+    for p in procs:
+        p.join(60)
+        assert not p.is_alive() and p.exitcode == 0
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert sum("engine_version" in ln for ln in lines) == 1
+    assert json.loads(lines[0]) == {"engine_version": ENGINE_VERSION}
+    s = Sampler(path)
+    assert s.corrupt_lines == 0
+    assert len(s._mem) == 400
 
 
 # -- the interpolation grid --------------------------------------------------
