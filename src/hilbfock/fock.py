@@ -71,9 +71,6 @@ class FockVector(Combination):
     def coefficient(self, M: Monomial) -> Q:
         return self.terms.get(M, Q(0))
 
-    def max_weight(self) -> int:
-        return max((mono_weight(M) for M in self.terms), default=0)
-
 
 def vacuum() -> FockVector:
     return FockVector({(): 1})

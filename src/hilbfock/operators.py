@@ -23,6 +23,11 @@ join and K coefficients are tabulated once per engine as integers over one
 model denominator, the lcm of the denominators of c/2, c <s'',t> and k/2,
 so D is filled in integers.
 
+L_n(a) is the normal-ordered pair sum of c q_(n-mu)(s') q_mu(s'') over
+(c, s', s'') in delta(a) and mu <= n/2 with mu, n-mu != 0, halved when
+mu = n-mu.  The truncated quadratic operator e_n is minus its pairs with
+mu < 0, the ones that hold an annihilator.
+
 An :class:`OperatorEngine` instance owns per-model memoization caches: the
 oscillators, Virasoro operators and first derivatives are memoized monomial
 by monomial over ``Fraction``, the boundary operator as integer vectors over
@@ -117,9 +122,8 @@ class OperatorEngine:
         self._L_cache: Dict[Tuple[int, str, Monomial], Vec] = {}
         self._qp_cache: Dict[Tuple[int, str, Monomial], Vec] = {}
         self._b_cache: Dict[Monomial, IntVec] = {}
-        # Always empty: higher derivatives are not memoized per monomial.
-        # It stays because the traced benchmark run (perfbench/probes.py)
-        # reads the size of every cache attribute.
+        # Always empty: higher derivatives are not memoized per monomial. It
+        # stays because perfbench/probes.py reads every cache attribute.
         self._qd_cache: Dict[Tuple[int, int, str, Monomial], Vec] = {}
         self._den, self._cut, self._join, self._kterm = _boundary_tables(model)
 
@@ -158,60 +162,32 @@ class OperatorEngine:
 
     # -- Virasoro operators ------------------------------------------------
 
+    def _pairs(self, m: int, sym: str, M: Monomial, top: int) -> Vec:
+        """The pairs q_(m-mu)(s') q_mu(s'') M of L_m(sym) M with mu <= ``top``;
+        for top <= m // 2 each unordered pair once, as delta is symmetric."""
+        out: Vec = {}
+        for c, s1, s2 in self.model.delta_triples(sym):
+            for mu in range(-mono_weight(M), top + 1):
+                nu = m - mu
+                if mu and nu:
+                    t = self._q_mono(mu, s2, M)
+                    if t:
+                        axpy(out, self._q_vec(nu, s1, t), c if nu != mu else c / 2)
+        return out
+
     def _L_mono(self, m: int, sym: str, M: Monomial) -> Vec:
         key = (m, sym, M)
         out = self._L_cache.get(key)
-        if out is not None:
-            return out
-        W = mono_weight(M)
-        out = {}
-        half = Q(1, 2)
-        for c, s1, s2 in self.model.delta_triples(sym):
-            if m == 0:
-                for nu in range(1, W + 1):
-                    t = self._q_mono(-nu, s2, M)
-                    if t:
-                        axpy(out, self._q_vec(nu, s1, t), c)
-            elif m > 0:
-                for nu in range(1, m):
-                    t = self._q_mono(m - nu, s2, M)
-                    axpy(out, self._q_vec(nu, s1, t), c * half)
-                for nu in range(1, W + 1):
-                    t = self._q_mono(-nu, s2, M)
-                    if t:
-                        axpy(out, self._q_vec(m + nu, s1, t), c)
-            else:
-                for nu in range(1, -m):
-                    t = self._q_mono(m + nu, s2, M)
-                    if t:
-                        axpy(out, self._q_vec(-nu, s1, t), c * half)
-                for p in range(1, W + m + 1):
-                    t = self._q_mono(m - p, s2, M)
-                    if t:
-                        axpy(out, self._q_vec(p, s1, t), c)
-        self._L_cache[key] = out
+        if out is None:
+            out = self._L_cache[key] = self._pairs(m, sym, M, m // 2)
         return out
 
     def virasoro(self, m: int, a: CohClass, v: FockVector) -> FockVector:
         return self._apply(self._L_mono, m, a, v)
 
     def e_op(self, n: int, a: CohClass, v: FockVector) -> FockVector:
-        """The operator with e_n + L_n equal to the truncated quadratic sum."""
-        out: Vec = {}
-        half = Q(1, 2)
-        for sym, ca in a.terms.items():
-            for M, c in v.terms.items():
-                axpy(out, self._L_mono(n, sym, M), -c * ca)
-                if n > 0:
-                    for cc, s1, s2 in self.model.delta_triples(sym):
-                        for nu in range(1, n):
-                            t = self._q_mono(n - nu, s2, M)
-                            axpy(
-                                out,
-                                self._q_vec(nu, s1, t),
-                                c * ca * cc * half,
-                            )
-        return FockVector(out)
+        """Minus the pairs of L_n that hold an annihilator."""
+        return -self._apply(partial(self._pairs, top=min(-1, n // 2)), n, a, v)
 
     # -- boundary operator and derivatives ---------------------------------
 
@@ -463,13 +439,7 @@ class OperatorEngine:
         for m in range(1, n_max + 1):
             acc: Vec = {}
             for j in range(1, m + 1):
-                sign = Q(1) if j % 2 == 1 else Q(-1)
                 for sym, cg in gamma.terms.items():
-                    for M, c in comps[m - j].items():
-                        axpy(
-                            acc,
-                            self._q_mono(j, sym, M),
-                            sign * cg * c,
-                        )
+                    axpy(acc, self._q_vec(j, sym, comps[m - j]), (-1) ** (j - 1) * cg)
             comps.append({M: c / m for M, c in acc.items()})
         return [FockVector(c) for c in comps]

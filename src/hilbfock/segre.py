@@ -250,11 +250,9 @@ class Sampler:
         return self.series(n, params)[n]
 
 
-def _series_worker(args) -> Tuple[Params, List[str]]:
+def _series_worker(args) -> Tuple[Params, List[Q]]:
     n_max, params = args
-    d, pi, kappa, b2 = (Q(params[0]), Q(params[1]), Q(params[2]), params[3])
-    values = segre_series(n_max, new_model(d, pi, kappa, b2))
-    return (d, pi, kappa, b2), [q_str(v) for v in values]
+    return params, segre_series(n_max, new_model(*params))
 
 
 # -- interpolation ---------------------------------------------------------
@@ -350,11 +348,12 @@ def solve_overdetermined(
     return sol
 
 
+#: Sample points beyond the support size: their equations certify the bound.
+EXTRA_POINTS = 3
+
+
 def segre_polynomial(
-    n: int,
-    sampler: Optional[Sampler] = None,
-    extra_points: int = 3,
-    jobs: int = 1,
+    n: int, sampler: Optional[Sampler] = None, jobs: int = 1
 ) -> UnivPoly:
     """The universal polynomial for N_n, by exact interpolation.
 
@@ -367,7 +366,7 @@ def segre_polynomial(
     if sampler is None:
         sampler = Sampler()
     monos = support_monomials(n)
-    grid = sample_grid(n, len(monos) + extra_points)
+    grid = sample_grid(n, len(monos) + EXTRA_POINTS)
     for i, var in enumerate(_VARS):
         # on k distinct values of a variable its powers up to k are dependent;
         # b2_extra takes as many values as e = 4 + b2_extra
@@ -394,26 +393,21 @@ def segre_polynomial(
 def _fill_values(
     sampler: Sampler, n_max: int, grid: Sequence[Params], jobs: int
 ) -> None:
-    missing = [
-        p
+    tasks = [
+        (n_max, p)
         for p in grid
         if any((j, p) not in sampler._mem for j in range(n_max + 1))
     ]
-    if not missing:
-        return
-    if jobs > 1 and len(missing) > 1:
+    if jobs > 1 and len(tasks) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(min(jobs, len(missing))) as pool:
-            results = pool.map(
-                _series_worker, [(n_max, p) for p in missing]
-            )
-        for params, values in results:
-            for j, v in enumerate(values):
-                sampler.store(j, params, Q(v))
+        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+            results = pool.map(_series_worker, tasks)
     else:
-        for p in missing:
-            sampler.series(n_max, p)
+        results = map(_series_worker, tasks)
+    for params, values in results:
+        for j, v in enumerate(values):
+            sampler.store(j, params, v)
 
 
 # -- log-series coefficients ----------------------------------------------

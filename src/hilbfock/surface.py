@@ -282,8 +282,3 @@ class KClassSpec:
             render_class(self.c1),
             render_class(self.c2),
         )
-
-
-def chern_data(u: KClassSpec, model: SurfaceModel) -> Tuple[CohClass, CohClass]:
-    """Total Chern class and Chern character of a K-class."""
-    return u.total_chern(model), u.chern_character(model)

@@ -8,9 +8,6 @@ wall-clock budget as well.
 import time
 from fractions import Fraction as Q
 
-import pytest
-
-from hilbfock import new_model
 from hilbfock.segre import (
     KNOWN_DM,
     UnivPoly,
@@ -23,7 +20,6 @@ from hilbfock.verify import (
     suite_affine,
     suite_chern_line,
     suite_derivative,
-    suite_e_op,
     suite_goettsche,
     suite_oscillator,
     suite_pairing,

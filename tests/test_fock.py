@@ -1,9 +1,7 @@
 import random
 from fractions import Fraction as Q
 
-import pytest
-
-from hilbfock import CohClass, annihilate, create, dimension, integrate_hilb, pairing, vacuum
+from hilbfock import annihilate, create, dimension, integrate_hilb, pairing, vacuum
 from hilbfock.fock import (
     FockVector,
     mono_degree,

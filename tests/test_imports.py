@@ -1,9 +1,10 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package and of its tests uses each name it imports."""
 
 import ast
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "hilbfock"
+_TESTS = Path(__file__).resolve().parent
+_SRC = _TESTS.parent / "src" / "hilbfock"
 
 
 def _unused_imports(path: Path):
@@ -23,10 +24,10 @@ def _unused_imports(path: Path):
 
 
 def test_no_unused_imports():
-    # __init__.py is skipped: its imports are the package's re-exports
+    # the package's __init__.py is skipped: its imports are its re-exports
+    paths = [p for p in sorted(_SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(_TESTS.glob("*.py"))
     found = {
-        path.name: _unused_imports(path)
-        for path in sorted(_SRC.glob("*.py"))
-        if path.name != "__init__.py"
+        str(path.relative_to(_TESTS.parent)): _unused_imports(path) for path in paths
     }
     assert {name: unused for name, unused in found.items() if unused} == {}

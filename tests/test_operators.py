@@ -1,19 +1,18 @@
 import random
 from fractions import Fraction as Q
 from functools import partial
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import CohClass, KClassSpec, new_model, pairing, vacuum
+from hilbfock import CohClass, KClassSpec, new_model, vacuum
 from hilbfock.fock import (
     FockVector,
     mono_degree,
     mono_weight,
     monomials,
-    render_vector,
 )
 from hilbfock.operators import OperatorEngine, gen_binomial
 from hilbfock.verify import (
@@ -77,7 +76,25 @@ def test_boundary_is_a_derivation(engine, engine_b2):
                     assert got == want, (model, M, n, sym)
 
 
-def test_virasoro_creation_part_on_vacuum(engine, model):
+def _pair_sum(eng, m, a, v, keep):
+    # 1/2 sum over ordered (nu, m - nu), both nonzero, of the normal-ordered
+    # q_nu q_(m-nu) applied to delta(a): the lower index acts first; indices
+    # below -wt(v) annihilate v
+    w = max(mono_weight(M) for M in v.terms)
+    out = FockVector()
+    for left, right in eng.model.diagonal(a):
+        for nu in range(-w, m + w + 1):
+            mu = m - nu
+            if nu and mu and keep(nu, mu):
+                if nu < mu:
+                    t = eng.q(mu, right, eng.q(nu, left, v))
+                else:
+                    t = eng.q(nu, left, eng.q(mu, right, v))
+                out = out + t.scale(Q(1, 2))
+    return out
+
+
+def test_virasoro_creation_part_on_vacuum(engine, engine_b2, model):
     # L_2(a) vacuum = 1/2 sum q_1 q_1 delta(a) vacuum
     a = model.unit()
     got = engine.virasoro(2, a, vacuum())
@@ -87,6 +104,21 @@ def test_virasoro_creation_part_on_vacuum(engine, model):
             Q(1, 2)
         )
     assert got == want
+    # the definition L_m(a) = 1/2 sum_nu :q_nu q_(m-nu):(delta_* a), and e_n
+    # as minus its pairs that hold an annihilator, on every basis class and
+    # basis monomial
+    rational = OperatorEngine(new_model(Q(3, 2), Q(1, 3), -2, 1))
+    for eng, w in ((engine, 3), (engine_b2, 2), (rational, 2)):
+        for M in monomials(eng.model, w):
+            v = FockVector({M: 1})
+            for sym in eng.model.symbols:
+                a = CohClass({sym: 1})
+                for m in range(-3, 4):
+                    want = _pair_sum(eng, m, a, v, lambda nu, mu: True)
+                    assert eng.virasoro(m, a, v) == want, (eng.model, M, sym, m)
+                for n in range(4):
+                    want = -_pair_sum(eng, n, a, v, lambda nu, mu: min(nu, mu) < 0)
+                    assert eng.e_op(n, a, v) == want, (eng.model, M, sym, n)
 
 
 def test_virasoro_weight_operator(engine, model):

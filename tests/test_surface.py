@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from hilbfock import CohClass, DegeneratePairing, KClassSpec, new_model, parse_class
-from hilbfock.surface import chern_data, render_class
+from hilbfock.surface import render_class
 
 
 def test_degenerate_pairing_rejected():
@@ -115,7 +115,7 @@ def test_diagonal_adjointness(model_b2):
 
 def test_chern_data_of_minus_polarization(model):
     u = KClassSpec.line_bundle(model.h_class()).negate(model)
-    c, ch = chern_data(u, model)
+    c, ch = u.total_chern(model), u.chern_character(model)
     assert u.rank == -1
     assert c == CohClass({"1": 1, "h": -1, "pt": model.d})
     assert ch == CohClass({"1": -1, "h": -1, "pt": -model.d / 2})
