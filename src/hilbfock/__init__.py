@@ -34,7 +34,6 @@ from .segre import (
     check_conjecture,
     dm_coefficients,
     fit_dm_linear,
-    segre_number,
     segre_polynomial,
     segre_series,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "new_model",
     "pairing",
     "parse_class",
-    "segre_number",
     "segre_polynomial",
     "segre_series",
     "vacuum",

@@ -28,6 +28,7 @@ from .operators import OperatorEngine
 from .segre import (
     KNOWN_DM,
     Sampler,
+    check_conjecture,
     dm_coefficients,
     fit_dm_linear,
     segre_polynomial,
@@ -98,11 +99,10 @@ def parse_bundle(text: str, model) -> KClassSpec:
     m = _BUNDLE_K_RE.match(text)
     if m:
         c1 = parse_class(m.group(3), model)
-        c2text = m.group(4)
-        if c2text in ("0", ""):
-            c2 = CohClass()
-        else:
-            c2 = CohClass({"pt": Q(c2text)})
+        try:
+            c2 = CohClass({"pt": Q(m.group(4) or 0)})
+        except ZeroDivisionError:
+            raise UsageError("zero denominator in bundle literal: %r" % text) from None
         u = KClassSpec(int(m.group(2)), c1, c2)
         return u.negate(model) if m.group(1) else u
     raise UsageError("malformed bundle literal: %r" % text)
@@ -141,6 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help="one of: %s" % ", ".join(SUITES))
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("segre", help="top Segre numbers")
     p.add_argument("--n", type=int, required=True)
@@ -148,16 +149,19 @@ def _build_parser() -> argparse.ArgumentParser:
     _model_args(p)
     p.add_argument("--jobs", type=_jobs_arg, default=1)
     p.add_argument("--cache", default=None, help="sample cache file (JSONL)")
+    p.set_defaults(func=_cmd_segre)
 
     p = sub.add_parser("dm", help="log-series coefficients")
     p.add_argument("--max-m", type=int, default=5)
     p.add_argument("--jobs", type=_jobs_arg, default=1)
     p.add_argument("--cache", default=None)
+    p.set_defaults(func=_cmd_dm)
 
     p = sub.add_parser("conjecture", help="compare with the closed form")
     p.add_argument("--n-max", type=int, default=4)
     _model_args(p)
     p.add_argument("--cache", default=None)
+    p.set_defaults(func=_cmd_conjecture)
 
     p = sub.add_parser("chern", help="tautological total Chern class")
     p.add_argument("--n", type=int, required=True)
@@ -168,6 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--character", action="store_true")
     _model_args(p)
+    p.set_defaults(func=_cmd_chern)
     return top
 
 
@@ -236,8 +241,6 @@ def _cmd_dm(args) -> int:
 def _cmd_conjecture(args) -> int:
     _check_weight(args.n_max, args.max_weight)
     sampler = Sampler(args.cache)
-    from .segre import check_conjecture
-
     params = (args.d, args.pi, args.kappa, args.b2_extra)
     rows = check_conjecture(args.n_max, params, sampler)
     ok = all(r["match"] for r in rows)
@@ -296,17 +299,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "segre":
-            return _cmd_segre(args)
-        if args.command == "dm":
-            return _cmd_dm(args)
-        if args.command == "conjecture":
-            return _cmd_conjecture(args)
-        if args.command == "chern":
-            return _cmd_chern(args)
-        raise UsageError("unknown command")
+        return args.func(args)
     except DegeneratePairing as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .fock import integrate_hilb
 from .linear import Combination, q_str, rat, render_sum
 from .operators import OperatorEngine
-from .series import PowerSeries
+from .series import PowerSeries, conjecture_series
 from .surface import CohClass, KClassSpec, SurfaceModel, new_model
 
 Q = Fraction
@@ -40,6 +40,9 @@ class InconsistentSamples(ValueError):
 # -- universal polynomials -------------------------------------------------
 
 _VARS = ("d", "pi", "kappa", "e")
+
+#: The exponents of d, pi, kappa and e, the support of each d_m.
+_LINEAR: Tuple[Expo, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 class UnivPoly(Combination):
@@ -131,10 +134,6 @@ def segre_series(n_max: int, model: SurfaceModel) -> List[Q]:
     if n_max > 0:
         comps.append(engine.big_c_apply(u, comps[-1], 4 * n_max).scale(Q(1, n_max)))
     return [integrate_hilb(v, j, model) for j, v in enumerate(comps)]
-
-
-def segre_number(n: int, model: SurfaceModel) -> Q:
-    return segre_series(n, model)[n]
 
 
 # -- sample cache ----------------------------------------------------------
@@ -234,20 +233,35 @@ class Sampler:
             self._mem[key] = value
             self._append(n, params, value)
 
+    def fill(self, n_max: int, points: Sequence[Params], jobs: int = 1) -> None:
+        """Compute and store N_0 .. N_{n_max} at each point missing one.
+
+        With ``jobs > 1`` and more than one point to compute, the chains
+        run in a pool of at most one worker per point; else serially.
+        """
+        tasks = [
+            (n_max, p)
+            for p in points
+            if any((j, p) not in self._mem for j in range(n_max + 1))
+        ]
+        if jobs > 1 and len(tasks) > 1:
+            import multiprocessing
+
+            with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+                results = pool.map(_series_worker, tasks)
+        else:
+            results = map(_series_worker, tasks)
+        for params, values in results:
+            for j, v in enumerate(values):
+                self.store(j, params, v)
+
     def series(self, n_max: int, params: Params) -> List[Q]:
-        if all((j, params) in self._mem for j in range(n_max + 1)):
-            return [self._mem[(j, params)] for j in range(n_max + 1)]
-        d, pi, kappa, b2 = params
-        values = segre_series(n_max, new_model(d, pi, kappa, b2))
-        for j, v in enumerate(values):
-            self.store(j, params, v)
-        return values
+        self.fill(n_max, [params])
+        return [self._mem[(j, params)] for j in range(n_max + 1)]
 
     def value(self, n: int, params: Params) -> Q:
         got = self._mem.get((n, params))
-        if got is not None:
-            return got
-        return self.series(n, params)[n]
+        return got if got is not None else self.series(n, params)[n]
 
 
 def _series_worker(args) -> Tuple[Params, List[Q]]:
@@ -348,6 +362,21 @@ def solve_overdetermined(
     return sol
 
 
+def _interpolate(
+    support: Sequence[Expo], points: Sequence[Params], values: Sequence[Q]
+) -> UnivPoly:
+    """The polynomial over ``support`` that takes ``values`` at ``points``.
+
+    One row ``d^a pi^b kappa^c e^f`` per point, with ``e = 4 + b2_extra``;
+    raises as :func:`solve_overdetermined` does.
+    """
+    rows = []
+    for d, pi, kappa, b2 in points:
+        e = Q(4 + b2)
+        rows.append([d**a * pi**b * kappa**c * e**f for (a, b, c, f) in support])
+    return UnivPoly(dict(zip(support, solve_overdetermined(rows, values))))
+
+
 #: Sample points beyond the support size: their equations certify the bound.
 EXTRA_POINTS = 3
 
@@ -376,38 +405,8 @@ def segre_polynomial(
                 "sample matrix is rank deficient: %s^%d needs more grid values of %s"
                 % (var, top, var)
             )
-    _fill_values(sampler, n, grid, jobs)
-    rows = []
-    rhs = []
-    for params in grid:
-        d, pi, kappa, b2 = params
-        e = Q(4 + b2)
-        rows.append(
-            [d**a * pi**b * kappa**c * e**f for (a, b, c, f) in monos]
-        )
-        rhs.append(sampler.value(n, params))
-    sol = solve_overdetermined(rows, rhs)
-    return UnivPoly({ex: c for ex, c in zip(monos, sol)})
-
-
-def _fill_values(
-    sampler: Sampler, n_max: int, grid: Sequence[Params], jobs: int
-) -> None:
-    tasks = [
-        (n_max, p)
-        for p in grid
-        if any((j, p) not in sampler._mem for j in range(n_max + 1))
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            results = pool.map(_series_worker, tasks)
-    else:
-        results = map(_series_worker, tasks)
-    for params, values in results:
-        for j, v in enumerate(values):
-            sampler.store(j, params, v)
+    sampler.fill(n, grid, jobs)
+    return _interpolate(monos, grid, [sampler.value(n, p) for p in grid])
 
 
 # -- log-series coefficients ----------------------------------------------
@@ -451,52 +450,35 @@ _FIT_TUPLES: Tuple[Params, ...] = (
 
 
 def fit_dm_linear(
-    m_max: int,
-    sampler: Optional[Sampler] = None,
-    tuples: Sequence[Params] = _FIT_TUPLES,
-    jobs: int = 1,
+    m_max: int, sampler: Optional[Sampler] = None, jobs: int = 1
 ) -> List[UnivPoly]:
     """The coefficients d_1 .. d_{m_max} by an exact linear fit.
 
     Each d_m is linear in (d, pi, kappa, e), so numeric log-series samples
-    at an overdetermined set of parameter tuples pin it down; nonzero
+    at the overdetermined set ``_FIT_TUPLES`` pin it down; nonzero
     residuals or a nonzero constant term raise InconsistentSamples.
     """
     if sampler is None:
         sampler = Sampler()
-    _fill_values(sampler, m_max, tuples, jobs)
-    samples = []
-    for params in tuples:
-        values = [sampler.value(j, params) for j in range(m_max + 1)]
-        logs = PowerSeries(values).log()
-        samples.append(
-            [Q((-1) ** (m - 1)) * m * logs.coefficient(m) for m in range(m_max + 1)]
-        )
-    rows = [
-        [d, pi, kappa, Q(4 + b2), Q(1)] for (d, pi, kappa, b2) in tuples
+    sampler.fill(m_max, _FIT_TUPLES, jobs)
+    logs = [
+        PowerSeries([sampler.value(j, p) for j in range(m_max + 1)]).log()
+        for p in _FIT_TUPLES
     ]
     out = [UnivPoly()]
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     for m in range(1, m_max + 1):
-        rhs = [s[m] for s in samples]
-        sol = solve_overdetermined(rows, rhs)
-        if sol[4] != 0:
+        values = [Q((-1) ** (m - 1)) * m * s.coefficient(m) for s in logs]
+        dm = _interpolate(_LINEAR + ((0, 0, 0, 0),), _FIT_TUPLES, values)
+        if (0, 0, 0, 0) in dm.terms:
             raise InconsistentSamples("d_%d has a nonzero constant term" % m)
-        out.append(UnivPoly({ex: c for ex, c in zip(basis, sol[:4])}))
+        out.append(dm)
     return out
 
 
 # -- published coefficient table ------------------------------------------
 
-def _lin(cd, cpi, ckap, ce) -> UnivPoly:
-    return UnivPoly(
-        {
-            (1, 0, 0, 0): cd,
-            (0, 1, 0, 0): cpi,
-            (0, 0, 1, 0): ckap,
-            (0, 0, 0, 1): ce,
-        }
-    )
+def _lin(*coeffs) -> UnivPoly:
+    return UnivPoly(dict(zip(_LINEAR, coeffs)))
 
 
 #: Known values of the log-series coefficients, for cross-checking.
@@ -524,13 +506,9 @@ KNOWN_DM: Dict[int, UnivPoly] = {
 # -- conjectural closed form ----------------------------------------------
 
 def check_conjecture(
-    n_max: int,
-    params: Params,
-    sampler: Optional[Sampler] = None,
+    n_max: int, params: Params, sampler: Optional[Sampler] = None
 ) -> List[dict]:
     """Compare computed N_n against the closed-form candidate series."""
-    from .series import conjecture_series
-
     if sampler is None:
         sampler = Sampler()
     d, pi, kappa, b2 = params

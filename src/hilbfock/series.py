@@ -195,11 +195,12 @@ def conjecture_series(d, pi, kappa, e, n_max: int) -> PowerSeries:
     z = k (1-k) (1-2k)^4 / (1-6k+6k^2)^3.
     """
     d, pi, kappa, e = map(rat, (d, pi, kappa, e))
+    # reversion needs the linear term, which order 0 would truncate away
+    N = max(n_max, 1)
     chi = (e + kappa) / 12
     a = pi - 2 * kappa
     b = d - 2 * pi + kappa + 3 * chi
     c = (d - pi) / 2 + chi
-    N = n_max
     k = PowerSeries.identity(N)
     one = PowerSeries.one(N)
     om_k = one - k
@@ -210,4 +211,4 @@ def conjecture_series(d, pi, kappa, e, n_max: int) -> PowerSeries:
     base_a = om_k.compose(k_of_z)
     base_b = om_2k.compose(k_of_z)
     base_c = quad.compose(k_of_z)
-    return base_a.pow(a) * base_b.pow(b) * base_c.pow(-c)
+    return (base_a.pow(a) * base_b.pow(b) * base_c.pow(-c)).truncate(n_max)

@@ -66,7 +66,12 @@ def parse_class(text: str, model: "SurfaceModel") -> CohClass:
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ValueError("malformed class expression: %r" % text)
         sign = -1 if m.group(1) == "-" else 1
-        coeff = Q(m.group(2)) if m.group(2) else Q(1)
+        try:
+            coeff = Q(m.group(2)) if m.group(2) else Q(1)
+        except ZeroDivisionError:
+            raise ValueError(
+                "zero denominator in class expression: %r" % text
+            ) from None
         sym = m.group(3) or "1"
         if sym not in model.symbols:
             raise ValueError("unknown symbol %r for this model" % sym)

@@ -17,11 +17,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence
-from typing import Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from . import affine, fock
-from .fock import FockVector, Monomial, mono_degree, mono_weight, pairing, vacuum
+from .fock import FockVector, mono_degree, mono_weight, pairing, vacuum
 from .operators import OperatorEngine
 from .segre import (
     Sampler,
@@ -195,20 +194,13 @@ def suite_pairing(
 
 @_suite("virasoro")
 def suite_virasoro(
-    max_n: int = 2,
-    max_weight: int = 4,
-    model_params=DEFAULT_MODELS,
-    monomials: Optional[Sequence[Monomial]] = None,
+    max_n: int = 2, max_weight: int = 4, model_params=DEFAULT_MODELS
 ) -> Iterator[Case]:
     """[L_n(a), q_m(b)] = -m q_{n+m}(ab) and the central Virasoro relation."""
     ns = list(range(-max_n, max_n + 1))
     ms = [i for i in ns if i != 0]
     for mp, model, eng in _engines(model_params):
-        basis = (
-            list(monomials)
-            if monomials is not None
-            else fock.monomials(model, max_weight)
-        )
+        basis = fock.monomials(model, max_weight)
         c2 = model.c2_class()
 
         def lq(n, m, ab, v):

@@ -86,6 +86,11 @@ def test_conjecture(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(r["match"] for r in doc["result"])
+    # at order 0 the closed form is the constant 1
+    code, out = run_cli(capsys, "conjecture", "--n-max", "0")
+    assert code == 0
+    rows = json.loads(out)["result"]
+    assert [(r["n"], r["match"]) for r in rows] == [(0, True)]
 
 
 def test_chern_line_bundle(capsys):
@@ -100,9 +105,15 @@ def test_chern_line_bundle(capsys):
     assert doc["result"]["class"] == "q1[1-2*h+k+3*pt]"
 
 
-def test_chern_malformed_bundle(capsys):
-    code, _ = run_cli(capsys, "chern", "--n", "1", "--bundle", "L(c1=")
+@pytest.mark.parametrize(
+    "bundle",
+    ["L(c1=", "L(c1=1/0h)", "K(rank=2,c1=h,c2=1/0)"],
+    ids=["unclosed", "zero-denominator-c1", "zero-denominator-c2"],
+)
+def test_chern_malformed_bundle(capsys, bundle):
+    code, out = run_cli(capsys, "chern", "--n", "1", "--bundle", bundle)
     assert code == 2
+    assert out == ""
 
 
 def test_parse_bundle(model):

@@ -21,7 +21,6 @@ from hilbfock.segre import (
     dm_coefficients,
     minus_polarization,
     sample_grid,
-    segre_number,
     segre_polynomial,
     segre_series,
     solve_overdetermined,
@@ -62,7 +61,7 @@ def n3_poly():
 
 def test_segre_numbers_small(model):
     assert segre_series(3, model) == [Q(1), Q(1), Q(-2), Q(-1)]
-    assert segre_number(2, new_model(2, 1, -1, 1)) == n2_poly().evaluate(
+    assert segre_series(2, new_model(2, 1, -1, 1))[2] == n2_poly().evaluate(
         2, 1, -1, 5
     )
 
@@ -114,6 +113,18 @@ def test_interpolated_polynomial_is_the_direct_value(sampler):
             d, pi, kappa, _ = params
             for n, poly in enumerate(polys):
                 assert poly.evaluate(d, pi, kappa, 4 + b2) == direct[n], (params, n)
+
+
+def test_disjoint_grid_gives_the_same_polynomial(sampler):
+    # the support bound and the surplus equations pin N_n down, so a grid
+    # of another seed, sharing no point with the default one, agrees
+    for n in range(6):
+        support = support_monomials(n)
+        count = len(support) + segre.EXTRA_POINTS
+        grid = sample_grid(n, count, seed=3)
+        assert not set(grid) & set(sample_grid(n, count))
+        values = [sampler.value(n, p) for p in grid]
+        assert segre._interpolate(support, grid, values) == segre_polynomial(n, sampler)
 
 
 def test_support_monomials():
@@ -380,7 +391,7 @@ def test_pool_has_no_more_workers_than_missing_samples(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     sampler = Sampler()
     grid = sample_grid(2, 3)
-    segre._fill_values(sampler, 2, grid, 64)
+    sampler.fill(2, grid, 64)
     assert sizes == [3]
     for params in grid:
         assert sampler.series(2, params) == segre_series(2, new_model(*params))

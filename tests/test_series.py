@@ -113,3 +113,4 @@ def test_conjecture_series_first_coefficients():
         assert f.coefficient(1) == d
         n2 = Q(d * d - 10 * d - 5 * pi - kappa + e, 2)
         assert f.coefficient(2) == n2
+        assert conjecture_series(d, pi, kappa, e, 0).coeffs == (Q(1),)
