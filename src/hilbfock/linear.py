@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
 Q = Fraction
 
@@ -63,6 +63,22 @@ def int_reduce(num: Dict[Hashable, int], den: int) -> IntVec:
         num = {k: x // g for k, x in num.items()}
         den //= g
     return num, den
+
+
+def int_apply(
+    out: Dict[Hashable, int],
+    column: Callable[[Hashable], Mapping[Hashable, int]],
+    num: Mapping[Hashable, int],
+    f: int = 1,
+) -> Dict[Hashable, int]:
+    """``out += f * A num`` for the integer matrix A whose column at key k
+    is ``column(k)``; returns ``out``, which may hold zeros."""
+    get = out.get
+    for k, c in num.items():
+        c *= f
+        for j, x in column(k).items():
+            out[j] = get(j, 0) + c * x
+    return out
 
 
 def int_combine(parts: Iterable[Tuple[Q, IntVec]]) -> IntVec:

@@ -29,12 +29,15 @@ mu = n-mu.  The truncated quadratic operator e_n is minus its pairs with
 mu < 0, the ones that hold an annihilator.
 
 An :class:`OperatorEngine` instance owns per-model memoization caches: the
-oscillators, Virasoro operators and first derivatives are memoized monomial
-by monomial over ``Fraction``, the boundary operator as integer vectors over
-the model denominator.  The higher derivatives ad^nu(q_n) and the Chern class
-operators act on whole vectors through one integer kernel,
-:meth:`OperatorEngine._ad_series`, which can form the part of one degree
-alone; the top Segre numbers use that for the last weight step.
+oscillators, Virasoro operators, first derivatives and the boundary operator
+are memoized monomial by monomial as integer columns, numerators over one
+denominator per family.  The family denominators are derived from the model
+tables when the engine is built, and storing a column that is not an integer
+multiple of its denominator raises ``ArithmeticError``.  The public operators
+convert to ``Fraction`` only at return.  The higher derivatives ad^nu(q_n)
+and the Chern class operators act on whole vectors through one integer
+kernel, :meth:`OperatorEngine._ad_series`, which can form the part of one
+degree alone; the top Segre numbers use that for the last weight step.
 """
 
 from __future__ import annotations
@@ -45,21 +48,17 @@ from itertools import groupby
 from math import comb, factorial, inf, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .fock import (
-    FockVector,
-    Monomial,
-    mono_degree,
-    mono_insert,
-    mono_weight,
-    q_mono,
-    vacuum,
-)
-from .linear import IntVec, axpy, frac_vec, int_combine, int_reduce, int_vec
+from .fock import FockVector, Monomial, mono_degree, mono_insert, mono_weight, vacuum
+from .linear import IntVec, axpy, frac_vec, int_apply, int_combine, int_reduce, int_vec
 from .surface import CohClass, KClassSpec, SurfaceModel
 
 Q = Fraction
 
 Vec = Dict[Monomial, Q]
+
+#: A column of a memoized operator: integer numerators over its family
+#: denominator.
+Column = Dict[Monomial, int]
 
 
 def gen_binomial(x: int, nu: int) -> Q:
@@ -68,6 +67,67 @@ def gen_binomial(x: int, nu: int) -> Q:
     for j in range(nu):
         num *= x - j
     return num / factorial(nu)
+
+
+def _scaled(x: Q, den: int) -> int:
+    """x * den, which must be an integer."""
+    y = x * den
+    if y.denominator != 1:
+        raise ArithmeticError("%s is not a multiple of 1/%d" % (x, den))
+    return y.numerator
+
+
+def _rescale(num: Dict[Monomial, int], den: int, target: int) -> Column:
+    """num / den as numerators over ``target``, without the zeros; raises
+    ArithmeticError unless every entry is a multiple of 1/target."""
+    out = {}
+    for N, x in num.items():
+        y, r = divmod(x * target, den)
+        if r:
+            raise ArithmeticError("%d/%d is not a multiple of 1/%d" % (x, den, target))
+        if y:
+            out[N] = y
+    return out
+
+
+def _created(v: dict, m: int, sym: str) -> dict:
+    """The creation operator q_m(sym), m >= 1, on a term dict: a relabelling."""
+    return {mono_insert(M, m, sym): c for M, c in v.items()}
+
+
+def _fock(images, den: int) -> FockVector:
+    """The sum of c * column / den over ``(c, column)`` in ``images``."""
+    return FockVector(frac_vec(int_combine((c, (col, den)) for c, col in images)))
+
+
+def _column_denominators(model: SurfaceModel) -> Tuple[int, int, int]:
+    """The denominators of the q, L and q' columns.
+
+    With P(s, t) = <s, t> for an annihilator against a factor of symbol t
+    and P(s, -) = 1 for a creator, every entry of q_m(s) M is an integer
+    combination of values P(s, t), and every entry of L_m(s) M one of values
+    c/2 P(s'', t) P(s', t') over (c, s', s'') in delta(s).  In
+    q'_n(s) = n L_n(s) + n(|n|-1)/2 q_n(K.s) the pair is halved only when n
+    is even, so n L_n(s) needs only c P(s'', t) P(s', t'); n(|n|-1)/2 is an
+    integer, so the K term needs only k P(t_s, t) with K.s = k t_s.  Each
+    denominator is the lcm of the denominators of its values.
+    """
+    syms = model.symbols
+    P = {s: {Q(1)} | {model.pair_sym(s, t) for t in syms} for s in syms}
+
+    def den(values):
+        return lcm(*(x.denominator for x in values))
+
+    pairs = {
+        c * x * y
+        for s in syms
+        for c, s1, s2 in model.delta_triples(s)
+        for x in P[s2]
+        for y in P[s1]
+    }
+    ks = [model.prod_sym("k", s) for s in syms]
+    kvals = {p[0] * x for p in ks if p is not None for x in P[p[1]]}
+    return den(x for s in syms for x in P[s]), den(x / 2 for x in pairs), den(pairs | kvals)
 
 
 def _without(M: Monomial, f) -> Monomial:
@@ -102,13 +162,7 @@ def _boundary_tables(model: SurfaceModel):
     den = lcm(*(e[0].denominator for t in tables for row in t.values() for e in row))
 
     def scaled(row):
-        out = []
-        for x, *labels in row:
-            y = x * den
-            if y.denominator != 1:
-                raise ArithmeticError("%s is not a multiple of 1/%d" % (x, den))
-            out.append((y.numerator, *labels))
-        return out
+        return [(_scaled(x, den), *labels) for x, *labels in row]
 
     return den, *({k: scaled(row) for k, row in t.items()} for t in tables)
 
@@ -118,95 +172,109 @@ class OperatorEngine:
 
     def __init__(self, model: SurfaceModel):
         self.model = model
-        self._q_cache: Dict[Tuple[int, str, Monomial], Vec] = {}
-        self._L_cache: Dict[Tuple[int, str, Monomial], Vec] = {}
-        self._qp_cache: Dict[Tuple[int, str, Monomial], Vec] = {}
-        self._b_cache: Dict[Monomial, IntVec] = {}
+        # q, L, q' and D columns, numerators over _qden, _Lden, _qpden and _den
+        self._q_cache: Dict[Tuple[int, str, Monomial], Column] = {}
+        self._L_cache: Dict[Tuple[int, str, Monomial], Column] = {}
+        self._qp_cache: Dict[Tuple[int, str, Monomial], Column] = {}
+        self._b_cache: Dict[Monomial, Column] = {}
         # Always empty: higher derivatives are not memoized per monomial. It
         # stays because perfbench/probes.py reads every cache attribute.
         self._qd_cache: Dict[Tuple[int, int, str, Monomial], Vec] = {}
         self._den, self._cut, self._join, self._kterm = _boundary_tables(model)
+        self._qden, self._Lden, self._qpden = _column_denominators(model)
+        syms = model.symbols
+        self._pair = {
+            (s, t): _scaled(model.pair_sym(s, t), self._qden) for s in syms for t in syms
+        }
 
-    def _apply(self, mono: Callable, m: int, a: CohClass, v: FockVector) -> FockVector:
-        """The monomial operator ``mono(m, sym, M)``, extended bilinearly."""
-        out: Vec = {}
-        for sym, ca in a.terms.items():
-            for M, c in v.terms.items():
-                axpy(out, mono(m, sym, M), c * ca)
-        return FockVector(out)
+    def _apply(self, col: Callable, den: int, m: int, a: CohClass, v: FockVector) -> FockVector:
+        """The column operator ``col(m, sym, M) / den``, extended bilinearly."""
+        return _fock(
+            ((ca * c, col(m, sym, M)) for sym, ca in a.terms.items() for M, c in v.terms.items()),
+            den,
+        )
 
     # -- oscillators -------------------------------------------------------
 
-    def _q_mono(self, m: int, sym: str, M: Monomial) -> Vec:
+    def _q_mono(self, m: int, sym: str, M: Monomial) -> Column:
+        """q_m(sym) M over _qden: for m = -n < 0, removing a factor q_n(s)
+        contributes -n <sym, s>; q_0 is zero."""
         key = (m, sym, M)
         out = self._q_cache.get(key)
         if out is None:
-            out = self._q_cache[key] = q_mono(m, sym, M, self.model)
-        return out
-
-    def _q_vec(self, m: int, sym: str, v: Vec) -> Vec:
-        out: Vec = {}
-        for M, c in v.items():
-            axpy(out, self._q_mono(m, sym, M), c)
+            if m > 0:
+                out = {mono_insert(M, m, sym): self._qden}
+            else:
+                out = {}
+                for j, (i, s) in enumerate(M):
+                    c = self._pair[sym, s]
+                    if i == -m and c:
+                        M2 = M[:j] + M[j + 1:]
+                        out[M2] = out.get(M2, 0) + m * c
+            self._q_cache[key] = out
         return out
 
     def q(self, m: int, a: CohClass, v: FockVector) -> FockVector:
-        return self._apply(self._q_mono, m, a, v)
+        return self._apply(self._q_mono, self._qden, m, a, v)
 
     def _q_int(self, m: int, sym: str, v: IntVec) -> IntVec:
         """q_m(sym) on an integer vector: for m >= 1 a relabelling."""
         num, den = v
         if m > 0:
-            return {mono_insert(M, m, sym): c for M, c in num.items()}, den
-        return int_vec(self._q_vec(m, sym, frac_vec(v)))
+            return _created(num, m, sym), den
+        return int_reduce(int_apply({}, partial(self._q_mono, m, sym), num), den * self._qden)
 
     # -- Virasoro operators ------------------------------------------------
 
-    def _pairs(self, m: int, sym: str, M: Monomial, top: int) -> Vec:
-        """The pairs q_(m-mu)(s') q_mu(s'') M of L_m(sym) M with mu <= ``top``;
-        for top <= m // 2 each unordered pair once, as delta is symmetric."""
-        out: Vec = {}
-        for c, s1, s2 in self.model.delta_triples(sym):
+    def _pairs(self, m: int, sym: str, M: Monomial, top: int) -> Column:
+        """The pairs q_(m-mu)(s') q_mu(s'') M of L_m(sym) M with mu <= ``top``,
+        over _Lden; for top <= m // 2 each unordered pair once, as delta is
+        symmetric.  The cut table of D holds c/2 for (c, s', s'') in delta."""
+        raw: Dict[Monomial, int] = {}
+        for c, s1, s2 in self._cut[sym]:
             for mu in range(-mono_weight(M), top + 1):
                 nu = m - mu
                 if mu and nu:
                     t = self._q_mono(mu, s2, M)
                     if t:
-                        axpy(out, self._q_vec(nu, s1, t), c if nu != mu else c / 2)
-        return out
+                        int_apply(raw, partial(self._q_mono, nu, s1), t, c if nu == mu else 2 * c)
+        return _rescale(raw, self._den * self._qden**2, self._Lden)
 
-    def _L_mono(self, m: int, sym: str, M: Monomial) -> Vec:
+    def _L_mono(self, m: int, sym: str, M: Monomial) -> Column:
         key = (m, sym, M)
         out = self._L_cache.get(key)
         if out is None:
             out = self._L_cache[key] = self._pairs(m, sym, M, m // 2)
         return out
 
+    def _e_mono(self, n: int, sym: str, M: Monomial) -> Column:
+        """e_n(sym) M over _Lden: minus the pairs of L_n that hold an annihilator."""
+        return {N: -x for N, x in self._pairs(n, sym, M, min(-1, n // 2)).items()}
+
     def virasoro(self, m: int, a: CohClass, v: FockVector) -> FockVector:
-        return self._apply(self._L_mono, m, a, v)
+        return self._apply(self._L_mono, self._Lden, m, a, v)
 
     def e_op(self, n: int, a: CohClass, v: FockVector) -> FockVector:
-        """Minus the pairs of L_n that hold an annihilator."""
-        return -self._apply(partial(self._pairs, top=min(-1, n // 2)), n, a, v)
+        return self._apply(self._e_mono, self._Lden, n, a, v)
 
     # -- boundary operator and derivatives ---------------------------------
 
-    def _qprime_mono(self, n: int, sym: str, M: Monomial) -> Vec:
+    def _qprime_mono(self, n: int, sym: str, M: Monomial) -> Column:
+        """q'_n(sym) M = n L_n(sym) M + n(|n|-1)/2 k q_n(t) M, K.sym = k t,
+        over _qpden; the K table of D holds k/2."""
         key = (n, sym, M)
         out = self._qp_cache.get(key)
-        if out is not None:
-            return out
-        out = {}
-        axpy(out, self._L_mono(n, sym, M), Q(n))
-        coeff = Q(n * (abs(n) - 1), 2)
-        if coeff:
-            p = self.model.prod_sym("k", sym)
-            if p is not None and p[0]:
-                axpy(out, self._q_mono(n, p[1], M), coeff * p[0])
-        self._qp_cache[key] = out
+        if out is None:
+            scale = self._den * self._qden
+            raw = {N: n * scale * x for N, x in self._L_mono(n, sym, M).items()}
+            for k, t in self._kterm[sym] if abs(n) > 1 else ():
+                f = n * (abs(n) - 1) * k * self._Lden
+                for N, y in self._q_mono(n, t, M).items():
+                    raw[N] = raw.get(N, 0) + f * y
+            out = self._qp_cache[key] = _rescale(raw, self._Lden * scale, self._qpden)
         return out
 
-    def _boundary_mono(self, M: Monomial) -> IntVec:
+    def _boundary_mono(self, M: Monomial) -> Column:
         """D on one monomial by the cut-and-join formula of the module
         docstring, as integer numerators over the model denominator.
 
@@ -243,22 +311,16 @@ class OperatorEngine:
                 for c, s1 in self._join[s, s2]:
                     N = mono_insert(rest2, n + n2, s1)
                     num[N] = get(N, 0) + w2 * c
-        out = self._b_cache[M] = ({N: x for N, x in num.items() if x}, self._den)
+        out = self._b_cache[M] = {N: x for N, x in num.items() if x}
         return out
 
     def _boundary_int(self, v: IntVec) -> IntVec:
         """The boundary operator on an integer vector, exactly."""
         num, den = v
-        out: Dict[Monomial, int] = {}
-        get = out.get
-        for M, c in num.items():
-            for N, x in self._boundary_mono(M)[0].items():
-                out[N] = get(N, 0) + c * x
-        return int_reduce(out, den * self._den)
+        return int_reduce(int_apply({}, self._boundary_mono, num), den * self._den)
 
     def boundary(self, v: FockVector) -> FockVector:
-        images = ((c, self._boundary_mono(M)) for M, c in v.terms.items())
-        return FockVector(frac_vec(int_combine(images)))
+        return _fock(((c, self._boundary_mono(M)) for M, c in v.terms.items()), self._den)
 
     # -- derivatives: one whole-vector kernel ------------------------------
 
@@ -369,9 +431,9 @@ class OperatorEngine:
         if order < 0:
             raise ValueError("order must be nonnegative")
         if order == 0:
-            return self._apply(self._q_mono, n, a, v)
+            return self.q(n, a, v)
         if order == 1:
-            return self._apply(self._qprime_mono, n, a, v)
+            return self._apply(self._qprime_mono, self._qpden, n, a, v)
         series = [(lambda nu: int(nu == order), a.terms)]
         return FockVector(self._ad_series(n, series, v.terms))
 
@@ -425,9 +487,9 @@ class OperatorEngine:
         g: Vec = {}
         w: Vec = {(): Q(1)}
         for _ in range(n):
-            g = self._q_vec(1, "1", g)
+            g = _created(g, 1, "1")
             axpy(g, self._ad_series(1, series, w), Q(1))
-            w = self._q_vec(1, "1", w)
+            w = _created(w, 1, "1")
         return FockVector(g).scale(Q(1, factorial(n)))
 
     # -- vertex operator ---------------------------------------------------
@@ -440,6 +502,6 @@ class OperatorEngine:
             acc: Vec = {}
             for j in range(1, m + 1):
                 for sym, cg in gamma.terms.items():
-                    axpy(acc, self._q_vec(j, sym, comps[m - j]), (-1) ** (j - 1) * cg)
+                    axpy(acc, _created(comps[m - j], j, sym), (-1) ** (j - 1) * cg)
             comps.append({M: c / m for M, c in acc.items()})
         return [FockVector(c) for c in comps]

@@ -12,15 +12,17 @@ none).  A suite that made no check does not pass.
 
 from __future__ import annotations
 
-import functools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from functools import partial, wraps
+from itertools import product
+from math import comb, factorial, lcm
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from . import affine, fock
 from .fock import FockVector, mono_degree, mono_weight, pairing, vacuum
+from .linear import int_apply, int_vec
 from .operators import OperatorEngine
 from .segre import (
     Sampler,
@@ -67,7 +69,7 @@ def _suite(name: str):
     suite keeps the generator's name, docstring and parameters."""
 
     def decorate(cases: Callable[..., Iterator[Case]]) -> Callable[..., dict]:
-        @functools.wraps(cases)
+        @wraps(cases)
         def suite(*args, **kwargs) -> dict:
             return _run(name, cases(*args, **kwargs))
 
@@ -101,32 +103,59 @@ def _random_vector(basis, rng, n_terms=3) -> FockVector:
     return FockVector(data)
 
 
-def _unit_vectors(basis, fields) -> Iterator[Tuple[FockVector, dict]]:
+def _unit_vectors(basis, fields) -> Iterator[Tuple[Dict, dict]]:
     for M in basis:
-        yield FockVector({M: 1}), dict(fields, monomial=list(M))
+        yield {M: 1}, dict(fields, monomial=list(M))
+
+
+def _columns(eng: OperatorEngine) -> Dict[str, Tuple[Callable, int]]:
+    """The engine's column operators ``(col, den)``: ``col(n, sym, M)`` is
+    the image of the monomial M as integer numerators over ``den``."""
+    return {
+        "q": (eng._q_mono, eng._qden),
+        "L": (eng._L_mono, eng._Lden),
+        "e": (eng._e_mono, eng._Lden),
+        "q'": (eng._qprime_mono, eng._qpden),
+    }
 
 
 def _bracket(model, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
-    """Cases of ``[A_n(a), B_m(b)] v = rhs(n, m, ab, v)`` for n in ns and m
-    in ms, where a and b run over the basis classes of the model and ab is
-    their product.  ``A(n, a, v)`` and ``B(m, b, v)`` apply the operators.
+    """Cases of ``[A_n(a), B_m(b)] v = x B_(n+m)(ab) v + y v`` for n in ns
+    and m in ms, where a and b run over the basis classes of the model, ab
+    is their product and ``(x, y) = rhs(n, m, ab)`` are rationals.  A and B
+    are column operators ``(col, den)`` (see :func:`_columns`).
 
-    ``vectors`` yields pairs ``(v, fields)``; a counterexample is ``fields``
-    with n, m, a and b added.  Each A_n(a) v and B_m(b) v is computed once
-    per vector.
+    ``vectors`` yields pairs ``(v, fields)`` with v a dict of integer
+    coefficients; the identity is linear in v, so this covers every
+    rational multiple of v.  A case is the residual, left side minus right
+    side, as integer numerators over one common denominator, and holds when
+    every numerator is zero; a counterexample is ``fields`` with n, m, a
+    and b added.  Each A_n(a) v and B_m(b) v is computed once per vector.
     """
-    basis = [(s, CohClass({s: 1})) for s in model.symbols]
-    prod = {(sa, sb): model.mul(a, b) for sa, a in basis for sb, b in basis}
+    (a_col, a_den), (b_col, b_den) = A, B
+    syms = model.symbols
+    # per case (n, m, a, b): the residual times a common denominator is
+    # f [A, B] v - sum of f_s B_(n+m)(s) v - f_id v, all integers
+    plan = []
+    for n, m, sa, sb in product(ns, ms, syms, syms):
+        ab = model.mul(CohClass({sa: 1}), CohClass({sb: 1}))
+        x, y = rhs(n, m, ab)
+        terms = [(Q(x) * c / b_den, s) for s, c in ab.terms.items()]
+        den = lcm(a_den * b_den, Q(y).denominator, *(t.denominator for t, _ in terms))
+        f_s = [(int(t * den), s) for t, s in terms if t]
+        plan.append((n, m, sa, sb, den // (a_den * b_den), f_s, int(y * den)))
     for v, fields in vectors:
-        Av = {(n, sa): A(n, a, v) for n in ns for sa, a in basis}
-        Bv = {(m, sb): B(m, b, v) for m in ms for sb, b in basis}
-        for n in ns:
-            for m in ms:
-                for sa, a in basis:
-                    for sb, b in basis:
-                        lhs = A(n, a, Bv[m, sb]) - B(m, b, Av[n, sa])
-                        where = dict(fields, n=n, m=m, a=sa, b=sb)
-                        yield lhs, rhs(n, m, prod[sa, sb], v), where
+        Av = {(n, sa): int_apply({}, partial(a_col, n, sa), v) for n in ns for sa in syms}
+        Bv = {(m, sb): int_apply({}, partial(b_col, m, sb), v) for m in ms for sb in syms}
+        for n, m, sa, sb, f, f_s, f_id in plan:
+            res = int_apply({}, partial(a_col, n, sa), Bv[m, sb], f)
+            int_apply(res, partial(b_col, m, sb), Av[n, sa], -f)
+            for fb, s in f_s:
+                int_apply(res, partial(b_col, n + m, s), v, -fb)
+            if f_id:
+                for M, c in v.items():
+                    res[M] = res.get(M, 0) - f_id * c
+            yield any(res.values()), False, dict(fields, n=n, m=m, a=sa, b=sb)
 
 
 # -- oscillator commutation relations --------------------------------------
@@ -146,15 +175,14 @@ def suite_oscillator(
         basis = fock.monomials(model, max_weight)
         vectors = [_random_vector(basis, rng) for _ in range(n_vectors)]
 
-        def rhs(n, m, ab, v):
-            if n + m:
-                return FockVector()
-            return v.scale(n * model.integrate(ab))
+        def rhs(n, m, ab):
+            return 0, n * model.integrate(ab) if n + m == 0 else 0
 
-        vs = [(v, {"model": mp}) for v in vectors]
-        yield from _bracket(model, vs, eng.q, eng.q, idx, idx, rhs)
-        # q_0 vanishes identically
-        z = eng.q(0, model.unit(), vectors[0])
+        q = _columns(eng)["q"]
+        vs = [(int_vec(v.terms)[0], {"model": mp}) for v in vectors]
+        yield from _bracket(model, vs, q, q, idx, idx, rhs)
+        # q_0 vanishes identically, here on the last basis vector
+        z = eng.q(0, model.unit(), FockVector({basis[-1]: 1}))
         yield z, FockVector(), {"model": mp, "n": 0}
 
 
@@ -202,24 +230,20 @@ def suite_virasoro(
     for mp, model, eng in _engines(model_params):
         basis = fock.monomials(model, max_weight)
         c2 = model.c2_class()
+        cols = _columns(eng)
 
-        def lq(n, m, ab, v):
-            return eng.q(n + m, ab, v).scale(-m)
+        def lq(n, m, ab):
+            return -m, 0
 
-        def ll(n, m, ab, v):
-            out = eng.virasoro(n + m, ab, v).scale(n - m)
-            if n + m == 0:
-                # central term integrating c_2(X) a b, with c_2(X) = e * pt
-                c2ab = model.integrate(model.mul(c2, ab))
-                out = out + v.scale(-Q(n**3 - n, 12) * c2ab)
-            return out
+        def ll(n, m, ab):
+            if n + m:
+                return n - m, 0
+            # central term integrating c_2(X) a b, with c_2(X) = e * pt
+            return n - m, -Q(n**3 - n, 12) * model.integrate(model.mul(c2, ab))
 
-        for relation, B, bs, rhs in (
-            ("Lq", eng.q, ms, lq),
-            ("LL", eng.virasoro, ns, ll),
-        ):
+        for relation, B, bs, rhs in (("Lq", "q", ms, lq), ("LL", "L", ns, ll)):
             vs = _unit_vectors(basis, {"model": mp, "relation": relation})
-            yield from _bracket(model, vs, eng.virasoro, B, ns, bs, rhs)
+            yield from _bracket(model, vs, cols["L"], cols[B], ns, bs, rhs)
 
 
 # -- boundary derivative ---------------------------------------------------
@@ -244,19 +268,16 @@ def suite_derivative(
         high = [M for M in basis if mono_weight(M) > 2]
         chosen = low + rng.sample(high, min(sample, len(high)))
         K = model.canonical_class()
+        cols = _columns(eng)
 
-        def q_prime(n, a, v):
-            return eng.q_derivative(n, 1, a, v)
-
-        def rhs(n, m, ab, v):
-            out = eng.q(n + m, ab, v).scale(-n * m)
-            if n + m == 0:
-                kab = model.integrate(model.mul(K, ab))
-                out = out + v.scale(-Q(n * m) * Q(abs(n) - 1, 2) * kab)
-            return out
+        def rhs(n, m, ab):
+            if n + m:
+                return -n * m, 0
+            kab = model.integrate(model.mul(K, ab))
+            return -n * m, -Q(n * m) * Q(abs(n) - 1, 2) * kab
 
         vs = _unit_vectors(chosen, {"model": mp})
-        yield from _bracket(model, vs, q_prime, eng.q, idx, idx, rhs)
+        yield from _bracket(model, vs, cols["q'"], cols["q"], idx, idx, rhs)
         # Leibniz rule for the boundary operator on a sample of products
         for _ in range(20):
             M = rng.choice(basis)
@@ -265,7 +286,7 @@ def suite_derivative(
             a = CohClass({sym: 1})
             v = FockVector({M: 1})
             lhs = eng.boundary(eng.q(n, a, v))
-            want = q_prime(n, a, v) + eng.q(n, a, eng.boundary(v))
+            want = eng.q_derivative(n, 1, a, v) + eng.q(n, a, eng.boundary(v))
             yield lhs, want, {"model": mp, "leibniz": True, "n": n, "a": sym}
 
 
@@ -280,13 +301,12 @@ def suite_e_op(
     ms = [i for i in range(-4, 4) if i != 0]
     for mp, model, eng in _engines(model_params):
 
-        def rhs(n, m, ab, v):
-            if m > 0 or m < -n:
-                return eng.q(n + m, ab, v).scale(m)
-            return FockVector()
+        def rhs(n, m, ab):
+            return (m if m > 0 or m < -n else 0), 0
 
+        cols = _columns(eng)
         vs = _unit_vectors(fock.monomials(model, max_weight), {"model": mp})
-        yield from _bracket(model, vs, eng.e_op, eng.q, ns, ms, rhs)
+        yield from _bracket(model, vs, cols["e"], cols["q"], ns, ms, rhs)
 
 
 # -- vertex integral -------------------------------------------------------

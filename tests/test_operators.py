@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as Q
-from functools import partial
-from math import factorial
+from functools import cache, partial
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,9 @@ from hilbfock.fock import (
     mono_degree,
     mono_weight,
     monomials,
+    q_mono,
 )
+from hilbfock.linear import axpy
 from hilbfock.operators import OperatorEngine, gen_binomial
 from hilbfock.verify import (
     random_vector,
@@ -29,6 +31,67 @@ def q1_power(engine, a, n):
     for _ in range(n):
         v = engine.q(1, a, v)
     return v
+
+
+#: Five models, three of them rational, with the measured lcm of the reduced
+#: q, L and q' columns on weight <= 4 of the first four.
+COLUMN_MODELS = (
+    ((1, 0, -1, 0), (1, 2, 1)),
+    ((2, 1, -1, 1), (1, 6, 3)),
+    ((3, 1, 2, 0), (1, 10, 5)),
+    ((Q(3, 2), Q(1, 3), -2, 1), (6, 336, 168)),
+    ((Q(3, 2), Q(1, 3), -2, 2), (6, 336, 168)),
+)
+
+
+def _l_oracle(model, q, m, sym, M):
+    # the pairs q_nu(s') q_mu(s'') over delta(sym) with mu <= nu = m - mu,
+    # the lower index acting first, weight 1/2 at nu = mu; q(m, s, M) is
+    # the oscillator on a monomial
+    out = {}
+    for c, s1, s2 in model.delta_triples(sym):
+        for mu in range(-mono_weight(M), m // 2 + 1):
+            nu = m - mu
+            if mu and nu:
+                for M1, x in q(mu, s2, M).items():
+                    axpy(out, q(nu, s1, M1), x * (c / 2 if nu == mu else c))
+    return out
+
+
+@pytest.mark.parametrize(
+    "params,dens", COLUMN_MODELS, ids=[",".join(map(str, p)) for p, _ in COLUMN_MODELS]
+)
+def test_integer_columns_are_their_definitions(params, dens):
+    # q, L and q' columns against oracles that share no code with them, on
+    # every basis class, index and monomial of weight <= 4:
+    # q' = n L_n + n(|n|-1)/2 q_n(K.a)
+    model = new_model(*params)
+    eng = OperatorEngine(model)
+    K = model.canonical_class()
+    q = cache(partial(q_mono, model=model))
+    seen = {"q": 1, "L": 1, "q'": 1}
+
+    def check(name, col, den, m, sym, M, want):
+        got = col(m, sym, M)
+        assert got.keys() == want.keys(), (name, params, m, sym, M)
+        for N, x in got.items():
+            # x / den == want[N], in integers
+            assert x * want[N].denominator == want[N].numerator * den, (name, params, m, sym, M)
+            seen[name] = lcm(seen[name], den // gcd(den, x))
+
+    for M in monomials(model, 4):
+        for sym in model.symbols:
+            Ka = model.mul(K, CohClass({sym: 1}))
+            for m in range(-5, 6):
+                check("q", eng._q_mono, eng._qden, m, sym, M, q(m, sym, M))
+                want_L = _l_oracle(model, q, m, sym, M)
+                check("L", eng._L_mono, eng._Lden, m, sym, M, want_L)
+                want = {N: m * x for N, x in want_L.items() if m}
+                for t, k in Ka.terms.items() if abs(m) > 1 else ():
+                    axpy(want, q(m, t, M), Q(m * (abs(m) - 1), 2) * k)
+                check("q'", eng._qprime_mono, eng._qpden, m, sym, M, want)
+    assert (eng._qden, eng._Lden, eng._qpden) == dens
+    assert (seen["q"], seen["L"], seen["q'"]) == dens
 
 
 def test_boundary_kills_vacuum_and_weight_one(engine, model):

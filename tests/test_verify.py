@@ -1,3 +1,5 @@
+from fractions import Fraction as Q
+
 import pytest
 
 from hilbfock import new_model
@@ -25,18 +27,19 @@ def test_suite_without_checks_does_not_pass():
 
 
 def _wrong_at(method, index):
-    """The operator method, but doubled at one index."""
+    """The column method of an operator, but doubled at one index.  The
+    public operators and the bracket suites both read these columns."""
 
-    def wrong(self, m, a, v):
-        out = method(self, m, a, v)
-        return out.scale(2) if m == index else out
+    def wrong(self, m, sym, M):
+        out = method(self, m, sym, M)
+        return {N: 2 * x for N, x in out.items()} if m == index else out
 
     return wrong
 
 
 def test_wrong_virasoro_operator_fails(monkeypatch):
     monkeypatch.setattr(
-        OperatorEngine, "virasoro", _wrong_at(OperatorEngine.virasoro, 1)
+        OperatorEngine, "_L_mono", _wrong_at(OperatorEngine._L_mono, 1)
     )
     report = suite_virasoro(max_n=2, max_weight=2, model_params=ONE_MODEL)
     assert report["pass"] is False
@@ -48,7 +51,9 @@ def test_wrong_virasoro_operator_fails(monkeypatch):
 
 
 def test_wrong_oscillator_fails(monkeypatch):
-    monkeypatch.setattr(OperatorEngine, "q", _wrong_at(OperatorEngine.q, 2))
+    monkeypatch.setattr(
+        OperatorEngine, "_q_mono", _wrong_at(OperatorEngine._q_mono, 2)
+    )
     report = suite_oscillator(
         max_n=2, n_vectors=5, max_weight=3, model_params=ONE_MODEL
     )
@@ -56,6 +61,27 @@ def test_wrong_oscillator_fails(monkeypatch):
     ce = report["counterexample"]
     assert set(ce) == {"model", "n", "m", "a", "b"}
     assert 2 in (ce["n"], ce["m"])
+
+
+def test_wrong_derivative_fails(monkeypatch):
+    monkeypatch.setattr(
+        OperatorEngine, "_qprime_mono", _wrong_at(OperatorEngine._qprime_mono, 2)
+    )
+    report = suite_derivative(
+        max_n=2, max_weight=3, sample=5, model_params=ONE_MODEL
+    )
+    assert report["pass"] is False
+    assert report["checks"] > 0
+    ce = report["counterexample"]
+    assert set(ce) == {"model", "n", "m", "a", "b", "monomial"}
+    assert ce["model"] == ONE_MODEL[0]
+    assert ce["n"] == 2
+
+
+def test_oscillator_without_vectors_checks_q0():
+    report = suite_oscillator(max_n=2, n_vectors=0, max_weight=3, model_params=ONE_MODEL)
+    assert report["pass"] is True
+    assert report["checks"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +125,16 @@ def test_e_op_check_count(small):
     report = suite_e_op(max_weight=2, model_params=ONE_MODEL)
     assert report["pass"] is True
     assert report["checks"] == len(basis) * 4 * 7 * pairs
+
+
+def test_bracket_suites_pass_on_a_rational_model():
+    # DEFAULT_MODELS have column denominators up to 6; this one reaches 336
+    rational = ((Q(3, 2), Q(1, 3), -2, 1),)
+    for report in (
+        suite_virasoro(max_n=2, max_weight=2, model_params=rational),
+        suite_derivative(max_n=2, max_weight=3, sample=5, model_params=rational),
+        suite_oscillator(max_n=2, n_vectors=5, max_weight=3, model_params=rational),
+        suite_e_op(max_weight=2, model_params=rational),
+    ):
+        assert report["pass"] is True, report
+        assert report["checks"] > 0
