@@ -18,8 +18,6 @@ from .surface import (
 )
 from .fock import (
     FockVector,
-    annihilate,
-    create,
     dimension,
     integrate_hilb,
     pairing,
@@ -52,10 +50,8 @@ __all__ = [
     "Sampler",
     "SurfaceModel",
     "UnivPoly",
-    "annihilate",
     "check_conjecture",
     "conjecture_series",
-    "create",
     "dimension",
     "dm_coefficients",
     "fit_dm_linear",

@@ -5,6 +5,10 @@ creation operators applied to the vacuum.  A monomial is a tuple of factors
 ``(index, symbol)`` with positive indices, sorted by descending index and,
 for equal indices, by the symbol order ``1 < h < k < u1 < ... < pt``.
 The bidegree of a factor is ``(index, 2*index - 2 + deg(symbol))``.
+
+The oscillators q_n(a) live in :meth:`hilbfock.operators.OperatorEngine.q`;
+the pairing here reads only the surface pairing, so it checks them
+independently.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
-from typing import Dict, List, Mapping, Tuple
+from math import prod
+from typing import Dict, List, Tuple
 
-from .linear import Combination, axpy, render_sum
-from .surface import CohClass, SurfaceModel, _sym_rank
+from .linear import Combination, render_sum
+from .surface import SurfaceModel, _sym_rank
 
 Q = Fraction
 
@@ -68,81 +73,36 @@ class FockVector(Combination):
 
     render = render_vector
 
-    def coefficient(self, M: Monomial) -> Q:
-        return self.terms.get(M, Q(0))
-
 
 def vacuum() -> FockVector:
     return FockVector({(): 1})
 
 
-def q_mono(m: int, sym: str, M: Monomial, model: SurfaceModel) -> Dict[Monomial, Q]:
-    """The oscillator q_m(sym) on one monomial, as ``{monomial: coefficient}``.
-
-    For m > 0 it inserts a creation factor.  For m = -n < 0, removing a
-    factor q_n(s) contributes the contraction coefficient
-    ``-n * (sym.s integrated over the surface)``.  q_0 is zero.
-    """
-    if m > 0:
-        return {mono_insert(M, m, sym): Q(1)}
-    out: Dict[Monomial, Q] = {}
-    n = -m
-    for j, (i, s) in enumerate(M):
-        if i != n:
-            continue
-        c = model.pair_sym(sym, s)
-        if c:
-            M2 = M[:j] + M[j + 1:]
-            out[M2] = out.get(M2, Q(0)) - n * c
-    return out
-
-
-def _q_terms(
-    m: int, a: CohClass, terms: Mapping[Monomial, Q], model: SurfaceModel
-) -> Dict[Monomial, Q]:
-    data: Dict[Monomial, Q] = {}
-    for sym, ca in a.terms.items():
-        for M, c in terms.items():
-            axpy(data, q_mono(m, sym, M, model), c * ca)
-    return data
-
-
-def create(n: int, a: CohClass, v: FockVector, model: SurfaceModel) -> FockVector:
-    """Apply the creation operator q_n(a), n >= 1."""
-    if n < 1:
-        raise ValueError("creation index must be positive")
-    return q_op(n, a, v, model)
-
-
-def annihilate(n: int, a: CohClass, v: FockVector, model: SurfaceModel) -> FockVector:
-    """Apply the annihilation operator q_{-n}(a), n >= 1."""
-    if n < 1:
-        raise ValueError("annihilation index must be positive")
-    return q_op(-n, a, v, model)
-
-
-def q_op(m: int, a: CohClass, v: FockVector, model: SurfaceModel) -> FockVector:
-    """The signed oscillator q_m(a); q_0 = 0 by convention."""
-    return FockVector(_q_terms(m, a, v.terms, model))
-
-
 def pairing(v: FockVector, w: FockVector, model: SurfaceModel) -> Q:
-    """The graded intersection pairing.
+    """The graded intersection pairing, from the surface pairing alone.
 
-    Computed by fully annihilating the monomials of ``v`` against ``w`` and
-    reading off the vacuum coefficient, with the sign (-1)**weight.
+    Two monomials pair to the sum, over the ways to contract each factor
+    q_n(s) of the first with a factor q_n(t) of the second, of the products
+    of ``(-1)**(n-1) * n * <s, t>``; so monomials of different weights pair
+    to zero.  Equal remainders are merged after each contraction.  This is
+    (-1)**weight times the vacuum coefficient of the annihilators q_(-n)(s)
+    applied in turn.
     """
     total = Q(0)
     for M, c in v.terms.items():
-        wt = mono_weight(M)
-        cur = {N: x for N, x in w.terms.items() if mono_weight(N) == wt}
+        cur = {N: x for N, x in w.terms.items() if len(N) == len(M)}
         for n, s in M:
-            if not cur:
-                break
-            cur = _q_terms(-n, CohClass({s: 1}), cur, model)
-        vac = cur.get((), Q(0))
+            nxt: Dict[Monomial, Q] = {}
+            for N, x in cur.items():
+                for j, (i, t) in enumerate(N):
+                    p = model.pair_sym(s, t) if i == n else 0
+                    if p:
+                        N2 = N[:j] + N[j + 1:]
+                        nxt[N2] = nxt.get(N2, 0) + p * x
+            cur = nxt
+        vac = cur.get(())
         if vac:
-            total += (Q(-1) ** wt) * c * vac
+            total += c * vac * prod((-1) ** (n - 1) * n for n, _ in M)
     return total
 
 

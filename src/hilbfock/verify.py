@@ -31,7 +31,7 @@ from .segre import (
     minus_polarization,
     segre_polynomial,
 )
-from .surface import CohClass, KClassSpec, SurfaceModel, new_model
+from .surface import CohClass, KClassSpec, new_model
 
 Q = Fraction
 
@@ -84,16 +84,9 @@ def _engines(model_params):
         yield mp, model, OperatorEngine(model)
 
 
-def random_vector(
-    model: SurfaceModel,
-    rng: random.Random,
-    max_weight: int,
-    n_terms: int = 3,
-) -> FockVector:
-    return _random_vector(fock.monomials(model, max_weight), rng, n_terms)
-
-
 def _random_vector(basis, rng, n_terms=3) -> FockVector:
+    """A sum of ``n_terms`` random rational multiples of monomials drawn
+    from ``basis``."""
     data = {}
     for _ in range(n_terms):
         M = rng.choice(basis)
@@ -501,41 +494,49 @@ def suite_worked_example(sampler: Optional[Sampler] = None) -> Iterator[Case]:
     yield poly, want, {"stage": "polynomial", "got": poly.render()}
 
 
-#: name -> (suite function, the keyword that ``max_n`` sets, takes a seed,
-#: largest ``max_n`` accepted or None).  e-op checks every basis vector up
-#: to its weight and the basis roughly triples per unit of weight; weight 4
+#: name -> (suite function, the keyword that ``max_n`` sets or None,
+#: largest ``max_n`` accepted or None).  A suite takes a seed when its
+#: function has a ``seed`` parameter.  e-op checks every basis vector up to
+#: its weight and the basis roughly triples per unit of weight; weight 4
 #: (its default) already takes tens of seconds.
-SUITES: Dict[str, Tuple[Callable[..., dict], Optional[str], bool, Optional[int]]] = {
-    "oscillator": (suite_oscillator, "max_n", True, None),
-    "virasoro": (suite_virasoro, "max_n", False, None),
-    "derivative": (suite_derivative, "max_n", True, None),
-    "e-op": (suite_e_op, "max_weight", False, 4),
-    "vertex-integral": (suite_vertex_integral, "n_max", False, None),
-    "goettsche-dim": (suite_goettsche, "n_max", False, None),
-    "chern-line": (suite_chern_line, "n_max", False, None),
-    "pairing": (suite_pairing, "n_max", True, None),
-    "affine": (suite_affine, "gen_max", True, None),
-    "worked-example": (suite_worked_example, None, False, None),
+SUITES: Dict[str, Tuple[Callable[..., dict], Optional[str], Optional[int]]] = {
+    "oscillator": (suite_oscillator, "max_n", None),
+    "virasoro": (suite_virasoro, "max_n", None),
+    "derivative": (suite_derivative, "max_n", None),
+    "e-op": (suite_e_op, "max_weight", 4),
+    "vertex-integral": (suite_vertex_integral, "n_max", None),
+    "goettsche-dim": (suite_goettsche, "n_max", None),
+    "chern-line": (suite_chern_line, "n_max", None),
+    "pairing": (suite_pairing, "n_max", None),
+    "affine": (suite_affine, "gen_max", None),
+    "worked-example": (suite_worked_example, None, None),
 }
 
 
 def run_suite(name: str, max_n: Optional[int] = None, seed: Optional[int] = None) -> dict:
     """Run one verification suite by name with optional size/seed overrides.
 
-    Raises UnknownSuite for an unknown name and ValueError for a size above
-    the suite's largest one.
+    Raises UnknownSuite for an unknown name, and ValueError for a size
+    above the suite's largest one or for a size or seed that the suite does
+    not take.
     """
     if name not in SUITES:
         raise UnknownSuite("unknown suite: %r" % name)
-    func, size_kwarg, seeded, largest = SUITES[name]
+    func, size_kwarg, largest = SUITES[name]
     kwargs = {}
-    if max_n is not None and size_kwarg is not None:
+    if max_n is not None:
+        if size_kwarg is None:
+            raise ValueError("suite %r takes no size" % name)
         if largest is not None and max_n > largest:
             raise ValueError(
                 "max_n %d exceeds the largest size of suite %r (%d)"
                 % (max_n, name, largest)
             )
         kwargs[size_kwarg] = max_n
-    if seed is not None and seeded:
+    if seed is not None:
+        from inspect import signature  # here: it adds ~10 ms to a CLI start
+
+        if "seed" not in signature(func).parameters:
+            raise ValueError("suite %r takes no seed" % name)
         kwargs["seed"] = seed
     return func(**kwargs)

@@ -152,6 +152,8 @@ def test_console_entry_point():
         ["verify", "vertex-integral", "--max-n", "0"],
         ["--max-weight", "3", "verify", "e-op", "--max-n", "9"],
         ["verify", "e-op", "--max-n", "5"],
+        ["verify", "goettsche-dim", "--seed", "5"],
+        ["verify", "worked-example", "--max-n", "3"],
         ["segre", "--n", "9", "--symbolic"],
         ["segre", "--n", "2", "--symbolic", "--jobs", "0"],
         ["dm", "--max-m", "2", "--jobs", "-1"],
@@ -164,6 +166,8 @@ def test_console_entry_point():
         "verify-max-n-zero",
         "verify-max-n-over-guard",
         "verify-e-op-over-largest",
+        "verify-seed-unseeded-suite",
+        "verify-size-unsized-suite",
         "segre-symbolic-rank-deficient",
         "segre-jobs-zero",
         "dm-jobs-negative",

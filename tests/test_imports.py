@@ -31,3 +31,25 @@ def test_no_unused_imports():
         str(path.relative_to(_TESTS.parent)): _unused_imports(path) for path in paths
     }
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_exports_match_all():
+    # every exported name resolves, and __init__.py imports exactly them
+    import hilbfock
+
+    assert [n for n in hilbfock.__all__ if not hasattr(hilbfock, n)] == []
+    tree = ast.parse((_SRC / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    defined = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    assert imported == set(hilbfock.__all__) - defined

@@ -11,14 +11,14 @@ from hilbfock import CohClass, KClassSpec, new_model, vacuum
 from hilbfock.fock import (
     FockVector,
     mono_degree,
+    mono_insert,
     mono_weight,
     monomials,
-    q_mono,
 )
 from hilbfock.linear import axpy
 from hilbfock.operators import OperatorEngine, gen_binomial
 from hilbfock.verify import (
-    random_vector,
+    _random_vector,
     suite_derivative,
     suite_e_op,
     suite_vertex_integral,
@@ -42,6 +42,20 @@ COLUMN_MODELS = (
     ((Q(3, 2), Q(1, 3), -2, 1), (6, 336, 168)),
     ((Q(3, 2), Q(1, 3), -2, 2), (6, 336, 168)),
 )
+
+
+def _q_oracle(model, m, sym, M):
+    # the oscillator q_m(sym) on one monomial, in Fractions: for m = -n < 0,
+    # removing a factor q_n(s) contributes -n <sym, s>; q_0 is zero
+    if m > 0:
+        return {mono_insert(M, m, sym): Q(1)}
+    out = {}
+    for j, (i, s) in enumerate(M):
+        c = model.pair_sym(sym, s)
+        if i == -m and c:
+            M2 = M[:j] + M[j + 1:]
+            out[M2] = out.get(M2, 0) + m * c
+    return out
 
 
 def _l_oracle(model, q, m, sym, M):
@@ -68,7 +82,7 @@ def test_integer_columns_are_their_definitions(params, dens):
     model = new_model(*params)
     eng = OperatorEngine(model)
     K = model.canonical_class()
-    q = cache(partial(q_mono, model=model))
+    q = cache(partial(_q_oracle, model))
     seen = {"q": 1, "L": 1, "q'": 1}
 
     def check(name, col, den, m, sym, M, want):
@@ -106,11 +120,10 @@ def test_boundary_of_q1_squared(engine, model):
 
 
 def test_boundary_raises_degree_by_two(engine, model):
-    from hilbfock.fock import mono_degree, mono_weight
-
     rng = random.Random(3)
+    basis = monomials(model, 4)
     for _ in range(8):
-        v = random_vector(model, rng, 4)
+        v = _random_vector(basis, rng)
         w = engine.boundary(v)
         for M in w.terms:
             assert any(
@@ -265,8 +278,9 @@ def test_chern_operator_of_line_bundle(engine, model):
     # q_1(c(L)) + q_1'(1)
     L = KClassSpec.line_bundle(model.h_class())
     rng = random.Random(17)
+    basis = monomials(model, 3)
     for _ in range(5):
-        v = random_vector(model, rng, 3)
+        v = _random_vector(basis, rng)
         got = engine.big_c_apply(L, v)
         want = (
             engine.q(1, L.total_chern(model), v)
@@ -292,7 +306,7 @@ def test_chern_operator_degree_part(engine, engine_b2):
         rng = random.Random(29)
         for u in (line, rank2):
             for w in (1, 2, 3):
-                v = random_vector(model, rng, w, n_terms=6)
+                v = _random_vector(monomials(model, w), rng, n_terms=6)
                 full = eng.big_c_apply(u, v)
                 for d in range(-1, 4 * (w + 1) + 3):
                     want = _degree_part(full, d, model)
