@@ -108,6 +108,17 @@ def parse_bundle(text: str, model) -> KClassSpec:
     raise UsageError("malformed bundle literal: %r" % text)
 
 
+def _model_params(args, **first) -> dict:
+    """The JSON parameters ``first`` followed by the model options of ``args``."""
+    return dict(
+        first,
+        d=q_str(args.d),
+        pi=q_str(args.pi),
+        kappa=q_str(args.kappa),
+        b2_extra=args.b2_extra,
+    )
+
+
 def _check_weight(n: int, max_weight: int, least: int = 0) -> None:
     if n < least:
         raise UsageError("weight %d is below the least allowed (%d)" % (n, least))
@@ -200,14 +211,7 @@ def _cmd_segre(args) -> int:
     model = new_model(args.d, args.pi, args.kappa, args.b2_extra)
     value = segre_series(args.n, model)[args.n]
     result = {"n": args.n, "value": q_str(value)}
-    params = {
-        "n": args.n,
-        "d": q_str(args.d),
-        "pi": q_str(args.pi),
-        "kappa": q_str(args.kappa),
-        "b2_extra": args.b2_extra,
-    }
-    _emit("segre", params, result)
+    _emit("segre", _model_params(args, n=args.n), result)
     return 0
 
 
@@ -216,15 +220,16 @@ def _cmd_dm(args) -> int:
     sampler = Sampler(args.cache)
     symbolic_up_to = min(args.max_m, 5)
     polys = [segre_polynomial(n, sampler, jobs=args.jobs) for n in range(symbolic_up_to + 1)]
-    dms = dm_coefficients(polys)
+    dms = fitted = dm_coefficients(polys)
     if args.max_m > symbolic_up_to:
+        # the fit gives d_1..d_5 a second time, which must agree
         fitted = fit_dm_linear(args.max_m, sampler, jobs=args.jobs)
         dms = dms + fitted[symbolic_up_to + 1:]
     rows = []
     all_match = True
     for m in range(1, args.max_m + 1):
         known = KNOWN_DM.get(m)
-        match = known is None or dms[m] == known
+        match = dms[m] == fitted[m] and (known is None or dms[m] == known)
         all_match = all_match and match
         rows.append(
             {
@@ -244,18 +249,7 @@ def _cmd_conjecture(args) -> int:
     params = (args.d, args.pi, args.kappa, args.b2_extra)
     rows = check_conjecture(args.n_max, params, sampler)
     ok = all(r["match"] for r in rows)
-    _emit(
-        "conjecture",
-        {
-            "n_max": args.n_max,
-            "d": q_str(args.d),
-            "pi": q_str(args.pi),
-            "kappa": q_str(args.kappa),
-            "b2_extra": args.b2_extra,
-        },
-        rows,
-        ok=ok,
-    )
+    _emit("conjecture", _model_params(args, n_max=args.n_max), rows, ok=ok)
     return 0 if ok else 1
 
 

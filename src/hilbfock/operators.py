@@ -31,13 +31,15 @@ mu < 0, the ones that hold an annihilator.
 An :class:`OperatorEngine` instance owns per-model memoization caches: the
 oscillators, Virasoro operators, first derivatives and the boundary operator
 are memoized monomial by monomial as integer columns, numerators over one
-denominator per family.  The family denominators are derived from the model
-tables when the engine is built, and storing a column that is not an integer
-multiple of its denominator raises ``ArithmeticError``.  The public operators
-convert to ``Fraction`` only at return.  The higher derivatives ad^nu(q_n)
-and the Chern class operators act on whole vectors through one integer
-kernel, :meth:`OperatorEngine._ad_series`, which can form the part of one
-degree alone; the top Segre numbers use that for the last weight step.
+denominator per family, the one each formula implies.  With ``_qden`` the
+lcm of the denominators of the pairings <s, t> and ``_den`` the model
+denominator of D, a q column is over ``_qden``, and the L, e and q' columns,
+built from a cut-table entry c/2 and two oscillators, are over
+``_Lden = _den * _qden**2``.  The public operators convert to ``Fraction``
+only at return.  The higher derivatives ad^nu(q_n) and the Chern class
+operators act on whole vectors through one integer kernel,
+:meth:`OperatorEngine._ad_series`, which can form the part of one degree
+alone; the top Segre numbers use that for the last weight step.
 """
 
 from __future__ import annotations
@@ -77,19 +79,6 @@ def _scaled(x: Q, den: int) -> int:
     return y.numerator
 
 
-def _rescale(num: Dict[Monomial, int], den: int, target: int) -> Column:
-    """num / den as numerators over ``target``, without the zeros; raises
-    ArithmeticError unless every entry is a multiple of 1/target."""
-    out = {}
-    for N, x in num.items():
-        y, r = divmod(x * target, den)
-        if r:
-            raise ArithmeticError("%d/%d is not a multiple of 1/%d" % (x, den, target))
-        if y:
-            out[N] = y
-    return out
-
-
 def _created(v: dict, m: int, sym: str) -> dict:
     """The creation operator q_m(sym), m >= 1, on a term dict: a relabelling."""
     return {mono_insert(M, m, sym): c for M, c in v.items()}
@@ -98,36 +87,6 @@ def _created(v: dict, m: int, sym: str) -> dict:
 def _fock(images, den: int) -> FockVector:
     """The sum of c * column / den over ``(c, column)`` in ``images``."""
     return FockVector(frac_vec(int_combine((c, (col, den)) for c, col in images)))
-
-
-def _column_denominators(model: SurfaceModel) -> Tuple[int, int, int]:
-    """The denominators of the q, L and q' columns.
-
-    With P(s, t) = <s, t> for an annihilator against a factor of symbol t
-    and P(s, -) = 1 for a creator, every entry of q_m(s) M is an integer
-    combination of values P(s, t), and every entry of L_m(s) M one of values
-    c/2 P(s'', t) P(s', t') over (c, s', s'') in delta(s).  In
-    q'_n(s) = n L_n(s) + n(|n|-1)/2 q_n(K.s) the pair is halved only when n
-    is even, so n L_n(s) needs only c P(s'', t) P(s', t'); n(|n|-1)/2 is an
-    integer, so the K term needs only k P(t_s, t) with K.s = k t_s.  Each
-    denominator is the lcm of the denominators of its values.
-    """
-    syms = model.symbols
-    P = {s: {Q(1)} | {model.pair_sym(s, t) for t in syms} for s in syms}
-
-    def den(values):
-        return lcm(*(x.denominator for x in values))
-
-    pairs = {
-        c * x * y
-        for s in syms
-        for c, s1, s2 in model.delta_triples(s)
-        for x in P[s2]
-        for y in P[s1]
-    }
-    ks = [model.prod_sym("k", s) for s in syms]
-    kvals = {p[0] * x for p in ks if p is not None for x in P[p[1]]}
-    return den(x for s in syms for x in P[s]), den(x / 2 for x in pairs), den(pairs | kvals)
 
 
 def _without(M: Monomial, f) -> Monomial:
@@ -172,7 +131,7 @@ class OperatorEngine:
 
     def __init__(self, model: SurfaceModel):
         self.model = model
-        # q, L, q' and D columns, numerators over _qden, _Lden, _qpden and _den
+        # q, L, q' and D columns, numerators over _qden, _Lden, _Lden and _den
         self._q_cache: Dict[Tuple[int, str, Monomial], Column] = {}
         self._L_cache: Dict[Tuple[int, str, Monomial], Column] = {}
         self._qp_cache: Dict[Tuple[int, str, Monomial], Column] = {}
@@ -181,11 +140,11 @@ class OperatorEngine:
         # stays because perfbench/probes.py reads every cache attribute.
         self._qd_cache: Dict[Tuple[int, int, str, Monomial], Vec] = {}
         self._den, self._cut, self._join, self._kterm = _boundary_tables(model)
-        self._qden, self._Lden, self._qpden = _column_denominators(model)
         syms = model.symbols
-        self._pair = {
-            (s, t): _scaled(model.pair_sym(s, t), self._qden) for s in syms for t in syms
-        }
+        self._pair, self._qden = int_vec(
+            {(s, t): model.pair_sym(s, t) for s in syms for t in syms}
+        )
+        self._Lden = self._den * self._qden**2
 
     def _apply(self, col: Callable, den: int, m: int, a: CohClass, v: FockVector) -> FockVector:
         """The column operator ``col(m, sym, M) / den``, extended bilinearly."""
@@ -229,7 +188,8 @@ class OperatorEngine:
     def _pairs(self, m: int, sym: str, M: Monomial, top: int) -> Column:
         """The pairs q_(m-mu)(s') q_mu(s'') M of L_m(sym) M with mu <= ``top``,
         over _Lden; for top <= m // 2 each unordered pair once, as delta is
-        symmetric.  The cut table of D holds c/2 for (c, s', s'') in delta."""
+        symmetric.  The cut table of D holds c/2 for (c, s', s'') in delta
+        over _den, and each oscillator is over _qden."""
         raw: Dict[Monomial, int] = {}
         for c, s1, s2 in self._cut[sym]:
             for mu in range(-mono_weight(M), top + 1):
@@ -238,7 +198,7 @@ class OperatorEngine:
                     t = self._q_mono(mu, s2, M)
                     if t:
                         int_apply(raw, partial(self._q_mono, nu, s1), t, c if nu == mu else 2 * c)
-        return _rescale(raw, self._den * self._qden**2, self._Lden)
+        return {N: x for N, x in raw.items() if x}
 
     def _L_mono(self, m: int, sym: str, M: Monomial) -> Column:
         key = (m, sym, M)
@@ -261,17 +221,16 @@ class OperatorEngine:
 
     def _qprime_mono(self, n: int, sym: str, M: Monomial) -> Column:
         """q'_n(sym) M = n L_n(sym) M + n(|n|-1)/2 k q_n(t) M, K.sym = k t,
-        over _qpden; the K table of D holds k/2."""
+        over _Lden; the K table of D holds k/2 over _den."""
         key = (n, sym, M)
         out = self._qp_cache.get(key)
         if out is None:
-            scale = self._den * self._qden
-            raw = {N: n * scale * x for N, x in self._L_mono(n, sym, M).items()}
+            raw = {N: n * x for N, x in self._L_mono(n, sym, M).items()}
             for k, t in self._kterm[sym] if abs(n) > 1 else ():
-                f = n * (abs(n) - 1) * k * self._Lden
+                f = n * (abs(n) - 1) * k * self._qden
                 for N, y in self._q_mono(n, t, M).items():
                     raw[N] = raw.get(N, 0) + f * y
-            out = self._qp_cache[key] = _rescale(raw, self._Lden * scale, self._qpden)
+            out = self._qp_cache[key] = {N: x for N, x in raw.items() if x}
         return out
 
     def _boundary_mono(self, M: Monomial) -> Column:
@@ -433,7 +392,7 @@ class OperatorEngine:
         if order == 0:
             return self.q(n, a, v)
         if order == 1:
-            return self._apply(self._qprime_mono, self._qpden, n, a, v)
+            return self._apply(self._qprime_mono, self._Lden, n, a, v)
         series = [(lambda nu: int(nu == order), a.terms)]
         return FockVector(self._ad_series(n, series, v.terms))
 

@@ -8,7 +8,8 @@ vanishing constant term and invertible linear term.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from functools import cache
+from typing import List, Sequence, Tuple
 
 from .linear import rat
 
@@ -186,21 +187,9 @@ class PowerSeries:
         return "PowerSeries(%s)" % (list(self.coeffs),)
 
 
-def conjecture_series(d, pi, kappa, e, n_max: int) -> PowerSeries:
-    """Closed-form candidate for the generating series of top Segre numbers.
-
-    With chi = (e + kappa)/12 and exponents a = pi - 2*kappa,
-    b = d - 2*pi + kappa + 3*chi, c = (d - pi)/2 + chi, the series is
-    (1-k)^a (1-2k)^b / (1-6k+6k^2)^c where k = k(z) inverts
-    z = k (1-k) (1-2k)^4 / (1-6k+6k^2)^3.
-    """
-    d, pi, kappa, e = map(rat, (d, pi, kappa, e))
-    # reversion needs the linear term, which order 0 would truncate away
-    N = max(n_max, 1)
-    chi = (e + kappa) / 12
-    a = pi - 2 * kappa
-    b = d - 2 * pi + kappa + 3 * chi
-    c = (d - pi) / 2 + chi
+@cache
+def _closed_form_logs(N: int) -> Tuple[PowerSeries, PowerSeries, PowerSeries]:
+    """log(1-k), log(1-2k) and log(1-6k+6k^2) at k = k(z), to order N."""
     k = PowerSeries.identity(N)
     one = PowerSeries.one(N)
     om_k = one - k
@@ -208,7 +197,24 @@ def conjecture_series(d, pi, kappa, e, n_max: int) -> PowerSeries:
     quad = one - k.scale(6) + (k * k).scale(6)
     z_of_k = k * om_k * om_2k.pow(4) * quad.pow(-3)
     k_of_z = z_of_k.revert()
-    base_a = om_k.compose(k_of_z)
-    base_b = om_2k.compose(k_of_z)
-    base_c = quad.compose(k_of_z)
-    return (base_a.pow(a) * base_b.pow(b) * base_c.pow(-c)).truncate(n_max)
+    return tuple(base.compose(k_of_z).log() for base in (om_k, om_2k, quad))
+
+
+def conjecture_series(d, pi, kappa, e, n_max: int) -> PowerSeries:
+    """Closed-form candidate for the generating series of top Segre numbers.
+
+    With chi = (e + kappa)/12 and exponents a = pi - 2*kappa,
+    b = d - 2*pi + kappa + 3*chi, c = (d - pi)/2 + chi, the series is
+    (1-k)^a (1-2k)^b / (1-6k+6k^2)^c where k = k(z) inverts
+    z = k (1-k) (1-2k)^4 / (1-6k+6k^2)^3.  It is formed as one exponential,
+    exp(a log(1-k) + b log(1-2k) - c log(1-6k+6k^2)), from logarithms that
+    depend only on the order and are computed once per order.
+    """
+    d, pi, kappa, e = map(rat, (d, pi, kappa, e))
+    chi = (e + kappa) / 12
+    a = pi - 2 * kappa
+    b = d - 2 * pi + kappa + 3 * chi
+    c = (d - pi) / 2 + chi
+    # reversion needs the linear term, which order 0 would truncate away
+    log_a, log_b, log_c = _closed_form_logs(max(n_max, 1))
+    return (log_a.scale(a) + log_b.scale(b) - log_c.scale(c)).exp().truncate(n_max)

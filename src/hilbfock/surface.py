@@ -55,7 +55,11 @@ _TERM_RE = re.compile(
 
 
 def parse_class(text: str, model: "SurfaceModel") -> CohClass:
-    """Parse a class expression such as ``2h-k`` or ``1-h+1/2*pt``."""
+    """Parse a class expression such as ``2h-k`` or ``1-h+1/2*pt``.
+
+    Every term after the first needs its sign: ``hk`` and ``2 3`` are
+    malformed, not sums.
+    """
     data: Dict[str, Q] = {}
     pos = 0
     text = text.strip()
@@ -63,7 +67,7 @@ def parse_class(text: str, model: "SurfaceModel") -> CohClass:
         raise ValueError("empty class expression")
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
-        if not m or (m.group(2) is None and m.group(3) is None):
+        if not m or (m.group(2) is None and m.group(3) is None) or (pos and not m.group(1)):
             raise ValueError("malformed class expression: %r" % text)
         sign = -1 if m.group(1) == "-" else 1
         try:

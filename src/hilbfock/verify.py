@@ -108,7 +108,7 @@ def _columns(eng: OperatorEngine) -> Dict[str, Tuple[Callable, int]]:
         "q": (eng._q_mono, eng._qden),
         "L": (eng._L_mono, eng._Lden),
         "e": (eng._e_mono, eng._Lden),
-        "q'": (eng._qprime_mono, eng._qpden),
+        "q'": (eng._qprime_mono, eng._Lden),
     }
 
 

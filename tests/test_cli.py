@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from hilbfock import ENGINE_VERSION
+from hilbfock import ENGINE_VERSION, cli
 from hilbfock.cli import main, parse_bundle
+from hilbfock.segre import KNOWN_DM, UnivPoly
 from hilbfock.surface import CohClass
 
 
@@ -70,6 +71,23 @@ def test_dm_table(capsys):
     assert all(r["match"] for r in rows)
 
 
+def test_dm_cross_checks_the_fit(capsys, monkeypatch):
+    # past m = 5 the linear fit also gives d_1..d_5, which must equal the
+    # ones from the symbolic N_n: a wrong fitted d_3 fails its row
+    def wrong_fit(m_max, sampler, jobs):
+        fitted = [UnivPoly()] + [KNOWN_DM[m] for m in range(1, m_max + 1)]
+        fitted[3] = fitted[3] + KNOWN_DM[1]
+        return fitted
+
+    monkeypatch.setattr(cli, "fit_dm_linear", wrong_fit)
+    code, out = run_cli(capsys, "dm", "--max-m", "6")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert [r["match"] for r in doc["result"]] == [True, True, False, True, True, True]
+    assert doc["result"][2]["d_m"] == KNOWN_DM[3].render()
+
+
 def test_conjecture(capsys):
     code, out = run_cli(
         capsys,
@@ -107,8 +125,14 @@ def test_chern_line_bundle(capsys):
 
 @pytest.mark.parametrize(
     "bundle",
-    ["L(c1=", "L(c1=1/0h)", "K(rank=2,c1=h,c2=1/0)"],
-    ids=["unclosed", "zero-denominator-c1", "zero-denominator-c2"],
+    ["L(c1=", "L(c1=1/0h)", "K(rank=2,c1=h,c2=1/0)", "L(c1=hk)", "L(c1=2h3k)"],
+    ids=[
+        "unclosed",
+        "zero-denominator-c1",
+        "zero-denominator-c2",
+        "terms-without-sign",
+        "coefficients-without-sign",
+    ],
 )
 def test_chern_malformed_bundle(capsys, bundle):
     code, out = run_cli(capsys, "chern", "--n", "1", "--bundle", bundle)

@@ -33,8 +33,8 @@ def q1_power(engine, a, n):
     return v
 
 
-#: Five models, three of them rational, with the measured lcm of the reduced
-#: q, L and q' columns on weight <= 4 of the first four.
+#: Five models, two of them with rational parameters, with the measured lcm
+#: of the denominators of the reduced q, L and q' entries on weight <= 4.
 COLUMN_MODELS = (
     ((1, 0, -1, 0), (1, 2, 1)),
     ((2, 1, -1, 1), (1, 6, 3)),
@@ -88,6 +88,7 @@ def test_integer_columns_are_their_definitions(params, dens):
     def check(name, col, den, m, sym, M, want):
         got = col(m, sym, M)
         assert got.keys() == want.keys(), (name, params, m, sym, M)
+        assert all(type(x) is int for x in got.values()), (name, params, m, sym, M)
         for N, x in got.items():
             # x / den == want[N], in integers
             assert x * want[N].denominator == want[N].numerator * den, (name, params, m, sym, M)
@@ -103,8 +104,9 @@ def test_integer_columns_are_their_definitions(params, dens):
                 want = {N: m * x for N, x in want_L.items() if m}
                 for t, k in Ka.terms.items() if abs(m) > 1 else ():
                     axpy(want, q(m, t, M), Q(m * (abs(m) - 1), 2) * k)
-                check("q'", eng._qprime_mono, eng._qpden, m, sym, M, want)
-    assert (eng._qden, eng._Lden, eng._qpden) == dens
+                check("q'", eng._qprime_mono, eng._Lden, m, sym, M, want)
+                assert all(type(x) is int for x in eng._e_mono(m, sym, M).values())
+    assert eng._Lden == eng._den * eng._qden**2
     assert (seen["q"], seen["L"], seen["q'"]) == dens
 
 

@@ -114,3 +114,40 @@ def test_conjecture_series_first_coefficients():
         n2 = Q(d * d - 10 * d - 5 * pi - kappa + e, 2)
         assert f.coefficient(2) == n2
         assert conjecture_series(d, pi, kappa, e, 0).coeffs == (Q(1),)
+
+
+def _product_of_powers(d, pi, kappa, e, n_max):
+    # the closed form as a product of three powers, each base composed with
+    # k(z) and raised by pow: the reference for the one-exponential form
+    d, pi, kappa, e = map(Q, (d, pi, kappa, e))
+    N = max(n_max, 1)
+    chi = (e + kappa) / 12
+    a = pi - 2 * kappa
+    b = d - 2 * pi + kappa + 3 * chi
+    c = (d - pi) / 2 + chi
+    k = PowerSeries.identity(N)
+    one = PowerSeries.one(N)
+    om_k = one - k
+    om_2k = one - k.scale(2)
+    quad = one - k.scale(6) + (k * k).scale(6)
+    k_of_z = (k * om_k * om_2k.pow(4) * quad.pow(-3)).revert()
+    return (
+        om_k.compose(k_of_z).pow(a)
+        * om_2k.compose(k_of_z).pow(b)
+        * quad.compose(k_of_z).pow(-c)
+    ).truncate(n_max)
+
+
+def test_conjecture_series_is_the_product_of_powers():
+    tuples = [
+        (1, 0, -1, 4),
+        (2, 1, -1, 5),
+        (3, -1, 2, 6),
+        (Q(3, 2), Q(1, 3), -2, 5),
+        (Q(-7, 5), Q(2, 9), Q(11, 3), Q(13, 2)),
+        (5, 4, -3, 9),
+        (Q(1, 7), 0, 0, Q(1, 2)),
+    ]
+    for params in tuples:
+        for n in range(13):
+            assert conjecture_series(*params, n) == _product_of_powers(*params, n), (params, n)

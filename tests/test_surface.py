@@ -146,3 +146,11 @@ def test_parse_and_render_class(model):
     )
     with pytest.raises(ValueError):
         parse_class("u1", model)  # not a symbol of this model
+
+
+def test_parse_class_needs_a_sign_between_terms(model_b2):
+    # juxtaposed terms are malformed, not summed
+    for text in ["hk", "2h3k", "2 3", "u1u1", "h -k pt"]:
+        with pytest.raises(ValueError, match="malformed"):
+            parse_class(text, model_b2)
+    assert parse_class("2h + 3k - u1", model_b2) == CohClass({"h": 2, "k": 3, "u1": -1})
