@@ -13,13 +13,15 @@ coefficients ``d_m`` in the four parameters.
 from __future__ import annotations
 
 import fcntl
+import functools
 import itertools
 import json
 import os
 import random
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import isqrt, lcm
+from operator import mul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fock import integrate_hilb
 from .linear import Combination, q_str, rat, render_sum
@@ -298,68 +300,193 @@ def sample_grid(n: int, count: int, seed: int = 20260826) -> List[Params]:
     return out
 
 
+@functools.cache
+def _modulus(k: int) -> int:
+    """The moduli of the interpolation solve: the primes below 2**30, largest first.
+
+    ``_modulus(0)`` is the largest.  Below 2**30 a residue is a single-digit
+    CPython int.  Each prime is found by trial division on first use, so
+    importing the module costs nothing.
+    """
+    c = _modulus(k - 1) - 2 if k else (1 << 30) - 1
+    while not all(c % d for d in range(3, isqrt(c) + 1, 2)):
+        c -= 2
+    return c
+
+
+ModSolver = Callable[[Sequence[int]], List[int]]
+
+
+def _eliminate_mod(
+    mat: List[List[int]], p: int
+) -> Tuple[List[int], List[int], ModSolver]:
+    """Forward elimination of the integer matrix ``mat`` modulo ``p``.
+
+    Returns the pivot rows R and pivot columns C, in pivot order, and a
+    function that solves ``A_RC y = v`` modulo ``p`` for a vector ``v``
+    indexed like R: it replays the recorded multipliers on ``v``, then
+    back-substitutes, in O(|R|^2).  ``A_RC`` is nonsingular modulo ``p``,
+    hence over Q.
+    """
+    work = [[x % p for x in row] for row in mat]
+    live = list(range(len(mat)))
+    steps = []  # (pivot row, pivot column, inverse of the pivot, [(row, multiplier)])
+    for col in range(len(mat[0])):
+        src = next((i for i in live if work[i][col]), None)
+        if src is None:
+            continue
+        live.remove(src)
+        top = work[src]
+        inv = pow(top[col], -1, p)
+        # left of col every row not yet a pivot is zero, and column col is
+        # not read again below the pivot
+        tail = top[col + 1:] = [x * inv % p for x in top[col + 1:]]
+        targets = []
+        for i in live:
+            row = work[i]
+            f = row[col]
+            if f:
+                row[col + 1:] = [(x - f * y) % p for x, y in zip(row[col + 1:], tail)]
+                targets.append((i, f))
+        steps.append((src, col, inv, targets))
+    piv_rows = [s[0] for s in steps]
+    piv_cols = [s[1] for s in steps]
+    pos = {i: k for k, i in enumerate(piv_rows)}
+    # the multipliers that reach other pivot rows, and the pivot rows of U
+    # at later pivot columns, all by pivot position
+    replay = [
+        (inv, [(pos[i], f) for i, f in targets if i in pos])
+        for _, _, inv, targets in steps
+    ]
+    upper = [
+        [(l, u) for l, u in enumerate(work[i][c] for c in piv_cols) if l > k and u]
+        for k, i in enumerate(piv_rows)
+    ]
+
+    def solve_mod(vec: Sequence[int]) -> List[int]:
+        v = [x % p for x in vec]
+        for k, (inv, targets) in enumerate(replay):
+            t = v[k] = v[k] * inv % p
+            for i, f in targets:
+                v[i] = (v[i] - f * t) % p
+        y = [0] * len(v)
+        for k in range(len(v) - 1, -1, -1):
+            acc = v[k]
+            for l, u in upper[k]:
+                acc -= u * y[l]
+            y[k] = acc % p
+        return y
+
+    return piv_rows, piv_cols, solve_mod
+
+
+def _reconstruct(residues: Sequence[int], modulus: int) -> Optional[List[Q]]:
+    """Fractions a/b congruent to each residue, with |a|, b <= sqrt(modulus/2).
+
+    Half-extended Euclid on (modulus, residue), stopped at the first
+    remainder within the bound; None when some residue has no such
+    fraction.  Such a fraction is unique when it exists.
+    """
+    bound = isqrt(modulus // 2)
+    out = []
+    for u in residues:
+        r0, r1, t0, t1 = modulus, u % modulus, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if abs(t1) > bound:
+            return None
+        out.append(Q(r1, t1))
+    return out
+
+
+def _satisfies(
+    mat: Sequence[Sequence[int]],
+    cols: Sequence[int],
+    sol: Sequence[Q],
+    rhs: Sequence[int],
+) -> bool:
+    """Whether ``sum_k row[cols[k]] * sol[k] == b`` holds exactly in every row."""
+    den = lcm(*(x.denominator for x in sol))
+    nums = [x.numerator * (den // x.denominator) for x in sol]
+    return all(
+        sum(row[c] * x for c, x in zip(cols, nums)) == den * b
+        for row, b in zip(mat, rhs)
+    )
+
+
+def _lift(
+    block: List[List[int]], solve_mod: ModSolver, p: int, rhs: List[int]
+) -> List[Q]:
+    """The rational solution of the nonsingular system ``block @ y = rhs``.
+
+    Dixon's p-adic lifting: y_i = block^-1 r_i mod p and the exact integer
+    residual r_{i+1} = (r_i - block @ y_i) / p give the digits of y in
+    base p; after each step rational reconstruction of the digits so far
+    gives a candidate, returned once it satisfies the system exactly.
+    """
+    acc, modulus, res = [0] * len(rhs), 1, list(rhs)
+    while True:
+        digit = solve_mod(res)
+        acc = [a + modulus * y for a, y in zip(acc, digit)]
+        modulus *= p
+        res = [(r - sum(map(mul, row, digit))) // p for r, row in zip(res, block)]
+        cand = _reconstruct(acc, modulus)
+        if cand is not None and _satisfies(block, range(len(cand)), cand, rhs):
+            return cand
+
+
 def solve_overdetermined(
     rows: List[List[Q]], rhs: List[Q]
 ) -> List[Q]:
     """Exact solution of a consistent overdetermined linear system.
 
-    Fraction-free (Bareiss) elimination: each row is scaled to integers,
-    and after k pivots every entry below them is a (k+1)-minor of the
-    scaled system, so each update ``(p*x - f*y) // prev`` divides exactly
-    and no gcd is taken until back-substitution.
+    Each row and its right-hand side are scaled to integers.  One forward
+    elimination modulo a prime p just below 2**30 finds pivot rows R and
+    pivot columns C whose square block ``A_RC`` is nonsingular modulo p,
+    hence over Q; solutions of ``A_RC y = c`` are found by Dixon's p-adic
+    lifting with rational reconstruction (:func:`_lift`).  Three exact
+    integer checks decide the outcome, so it never depends on p:
 
-    Raises ValueError when the matrix is rank-deficient and
-    InconsistentSamples when no exact solution exists.
+    1. each column j off C must satisfy ``A_C (A_RC^-1 A_Rj) = A_j``;
+       else rank over Q exceeds |C|, p was unlucky, and the next prime
+       is tried;
+    2. ``x = A_RC^-1 b_R``, zero off C, must satisfy ``A x = b`` in every
+       row, else InconsistentSamples is raised;
+    3. with a column off C, ValueError ("rank deficient") is raised;
+       otherwise x is the unique solution.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         raise ValueError("empty system")
-    ncols = len(rows[0])
-    aug = []
+    mat, vec = [], []
     for row, b in zip(rows, rhs):
-        row = list(row) + [b]
-        den = lcm(*(x.denominator for x in row))
-        aug.append([x.numerator * (den // x.denominator) for x in row])
-    prev = 1
-    piv_cols = []
-    r = 0
-    for col in range(ncols):
-        live = [i for i in range(r, m) if aug[i][col]]
-        if not live:
-            continue
-        # the smallest pivot tends to keep the later minors small
-        sel = min(live, key=lambda i: abs(aug[i][col]))
-        aug[r], aug[sel] = aug[sel], aug[r]
-        top = aug[r]
-        p = top[col]
-        for i in range(r + 1, m):
-            row = aug[i]
-            f = row[col]
-            # columns up to col are zero below the pivot from here on
-            aug[i] = [0] * (col + 1) + [
-                (p * x - f * y) // prev
-                for x, y in zip(row[col + 1:], top[col + 1:])
-            ]
-        prev = p
-        piv_cols.append(col)
-        r += 1
-        if r == m:
+        den = lcm(b.denominator, *(x.denominator for x in row))
+        mat.append([x.numerator * (den // x.denominator) for x in row])
+        vec.append(b.numerator * (den // b.denominator))
+    ncols = len(mat[0])
+    for p in map(_modulus, itertools.count()):
+        piv_rows, piv_cols, solve_mod = _eliminate_mod(mat, p)
+        block = [[mat[i][c] for c in piv_cols] for i in piv_rows]
+        free = sorted(set(range(ncols)) - set(piv_cols))
+        if all(
+            _satisfies(
+                mat,
+                piv_cols,
+                _lift(block, solve_mod, p, [mat[i][j] for i in piv_rows]),
+                [row[j] for row in mat],
+            )
+            for j in free
+        ):
             break
-    for i in range(r, m):
-        if aug[i][ncols]:
-            raise InconsistentSamples("samples are not consistent with the model")
-    if len(piv_cols) < ncols:
+    sol = _lift(block, solve_mod, p, [vec[i] for i in piv_rows])
+    if not _satisfies(mat, piv_cols, sol, vec):
+        raise InconsistentSamples("samples are not consistent with the model")
+    if free:
         raise ValueError("sample matrix is rank deficient; add more points")
-    # full column rank: rows 0..ncols-1 are upper triangular
-    sol = [Q(0)] * ncols
-    for k in range(ncols - 1, -1, -1):
-        row = aug[k]
-        acc = Q(row[ncols])
-        for j in range(k + 1, ncols):
-            if row[j]:
-                acc -= row[j] * sol[j]
-        sol[k] = acc / row[k]
-    return sol
+    out = [Q(0)] * ncols
+    for c, x in zip(piv_cols, sol):
+        out[c] = x
+    return out
 
 
 def _interpolate(
@@ -368,13 +495,23 @@ def _interpolate(
     """The polynomial over ``support`` that takes ``values`` at ``points``.
 
     One row ``d^a pi^b kappa^c e^f`` per point, with ``e = 4 + b2_extra``;
-    raises as :func:`solve_overdetermined` does.
+    raises as :func:`solve_overdetermined` does.  Rows are built in
+    integers: with x = num/den and top exponent K of x in the support,
+    x^k = num^k den^(K-k) / den^K, so the row and its value are scaled by
+    the product of the den^K.
     """
-    rows = []
-    for d, pi, kappa, b2 in points:
-        e = Q(4 + b2)
-        rows.append([d**a * pi**b * kappa**c * e**f for (a, b, c, f) in support])
-    return UnivPoly(dict(zip(support, solve_overdetermined(rows, values))))
+    tops = [max(ex[i] for ex in support) for i in range(len(_VARS))]
+    rows, rhs = [], []
+    for (d, pi, kappa, b2), value in zip(points, values):
+        tables, scale = [], 1
+        for x, top in zip((d, pi, kappa, 4 + b2), tops):
+            num, den = x.numerator, x.denominator
+            tables.append([num**k * den ** (top - k) for k in range(top + 1)])
+            scale *= den**top
+        td, tp, tk, te = tables
+        rows.append([td[a] * tp[b] * tk[c] * te[f] for a, b, c, f in support])
+        rhs.append(value * scale)
+    return UnivPoly(dict(zip(support, solve_overdetermined(rows, rhs))))
 
 
 #: Sample points beyond the support size: their equations certify the bound.

@@ -49,8 +49,11 @@ class CohClass(Combination):
     render = render_class
 
 
+_SYM = r"1|h|k|pt|u\d+"
+
+# a ``*`` needs a coefficient before it and a symbol after it
 _TERM_RE = re.compile(
-    r"([+-]?)\s*(\d+(?:/\d+)?)?\s*\*?\s*(1|h|k|pt|u\d+)?\s*"
+    r"([+-]?)\s*(?:(\d+(?:/\d+)?)(?:\s*\*(?=\s*(?:%s)))?)?\s*(%s)?\s*" % (_SYM, _SYM)
 )
 
 

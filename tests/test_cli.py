@@ -125,13 +125,23 @@ def test_chern_line_bundle(capsys):
 
 @pytest.mark.parametrize(
     "bundle",
-    ["L(c1=", "L(c1=1/0h)", "K(rank=2,c1=h,c2=1/0)", "L(c1=hk)", "L(c1=2h3k)"],
+    [
+        "L(c1=",
+        "L(c1=1/0h)",
+        "K(rank=2,c1=h,c2=1/0)",
+        "L(c1=hk)",
+        "L(c1=2h3k)",
+        "L(c1=h+2*)",
+        "L(c1=h+*k)",
+    ],
     ids=[
         "unclosed",
         "zero-denominator-c1",
         "zero-denominator-c2",
         "terms-without-sign",
         "coefficients-without-sign",
+        "star-without-symbol",
+        "star-without-coefficient",
     ],
 )
 def test_chern_malformed_bundle(capsys, bundle):

@@ -5,6 +5,7 @@ import os
 import random
 import time
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -125,6 +126,22 @@ def test_disjoint_grid_gives_the_same_polynomial(sampler):
         assert not set(grid) & set(sample_grid(n, count))
         values = [sampler.value(n, p) for p in grid]
         assert segre._interpolate(support, grid, values) == segre_polynomial(n, sampler)
+
+
+def test_interpolate_at_rational_points():
+    # the sample grid and the fit tuples are integer points, so only here
+    # are the rows scaled by the denominators of the point
+    rng = random.Random(13)
+    support = support_monomials(3)
+    poly = UnivPoly({ex: Q(rng.randint(-50, 50), rng.randint(1, 9)) for ex in support})
+    points = set()
+    while len(points) < len(support) + segre.EXTRA_POINTS:
+        d, pi, kappa = (Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
+        points.add((d, pi, kappa, rng.randint(0, 2)))
+    points = sorted(points)
+    assert {b2 for *_, b2 in points} == {0, 1, 2}
+    values = [poly.evaluate(d, pi, kappa, 4 + b2) for d, pi, kappa, b2 in points]
+    assert segre._interpolate(support, points, values) == poly
 
 
 def test_support_monomials():
@@ -496,3 +513,101 @@ def test_solver_skips_zero_column_exactly(system, data):
     rhs[i] += 1
     with pytest.raises(InconsistentSamples):
         solve_overdetermined(rows, rhs)
+
+
+def _bareiss_solve(rows, rhs):
+    """Reference solver: fraction-free (Bareiss) elimination over the integers.
+
+    Each row is scaled to integers, and after k pivots every entry below
+    them is a (k+1)-minor of the scaled system, so each update
+    ``(p*x - f*y) // prev`` divides exactly.  Raises as
+    ``solve_overdetermined`` does.
+    """
+    m = len(rows)
+    if m == 0:
+        raise ValueError("empty system")
+    ncols = len(rows[0])
+    aug = []
+    for row, b in zip(rows, rhs):
+        row = list(row) + [b]
+        den = lcm(*(x.denominator for x in row))
+        aug.append([x.numerator * (den // x.denominator) for x in row])
+    prev = 1
+    piv_cols = []
+    r = 0
+    for col in range(ncols):
+        live = [i for i in range(r, m) if aug[i][col]]
+        if not live:
+            continue
+        # the smallest pivot tends to keep the later minors small
+        sel = min(live, key=lambda i: abs(aug[i][col]))
+        aug[r], aug[sel] = aug[sel], aug[r]
+        top = aug[r]
+        p = top[col]
+        for i in range(r + 1, m):
+            row = aug[i]
+            f = row[col]
+            # columns up to col are zero below the pivot from here on
+            aug[i] = [0] * (col + 1) + [
+                (p * x - f * y) // prev
+                for x, y in zip(row[col + 1:], top[col + 1:])
+            ]
+        prev = p
+        piv_cols.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][ncols]:
+            raise InconsistentSamples("samples are not consistent with the model")
+    if len(piv_cols) < ncols:
+        raise ValueError("sample matrix is rank deficient; add more points")
+    # full column rank: rows 0..ncols-1 are upper triangular
+    sol = [Q(0)] * ncols
+    for k in range(ncols - 1, -1, -1):
+        row = aug[k]
+        acc = Q(row[ncols])
+        for j in range(k + 1, ncols):
+            if row[j]:
+                acc -= row[j] * sol[j]
+        sol[k] = acc / row[k]
+    return sol
+
+
+def _outcome(solve, rows, rhs):
+    try:
+        return solve(rows, rhs)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_systems(), st.data())
+def test_solver_agrees_with_bareiss_reference(system, data):
+    # full rank, a duplicated column, a zero column, a perturbed row, or
+    # several of these at once
+    rows, rhs, _, _ = system
+    if data.draw(st.booleans(), label="duplicate a column"):
+        j = data.draw(st.integers(0, len(rows[0]) - 1))
+        at = data.draw(st.integers(0, len(rows[0])))
+        rows = [r[:at] + [r[j]] + r[at:] for r in rows]
+    if data.draw(st.booleans(), label="insert a zero column"):
+        at = data.draw(st.integers(0, len(rows[0])))
+        rows = [r[:at] + [Q(0)] + r[at:] for r in rows]
+    if data.draw(st.booleans(), label="perturb a row"):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rhs[i] += data.draw(_rats.filter(bool))
+    want = _outcome(_bareiss_solve, rows, rhs)
+    assert _outcome(solve_overdetermined, rows, rhs) == want
+
+
+def test_solver_survives_an_unlucky_prime():
+    # modulo the solver's first prime p, [[1, 1], [1, 1 + p]] and [[p]] lose
+    # rank, so only the exact kernel check sends the solve on to the next
+    # prime; the row [2, 3] restores the rank modulo p
+    p = segre._modulus(0)
+    rows = [[Q(1), Q(1)], [Q(1), Q(1 + p)], [Q(2), Q(3)]]
+    rhs = [Q(2), Q(2 + p), Q(5)]
+    assert solve_overdetermined(rows, rhs) == [1, 1]
+    assert solve_overdetermined(rows[:2], rhs[:2]) == [1, 1]
+    assert solve_overdetermined([[Q(p)]], [Q(3)]) == [Q(3, p)]

@@ -146,6 +146,10 @@ def test_parse_and_render_class(model):
     )
     with pytest.raises(ValueError):
         parse_class("u1", model)  # not a symbol of this model
+    # a * needs a coefficient before it and a symbol after it
+    for text in ["h+2*", "2*", "h+*k"]:
+        with pytest.raises(ValueError, match="malformed"):
+            parse_class(text, model)
 
 
 def test_parse_class_needs_a_sign_between_terms(model_b2):
