@@ -165,6 +165,8 @@ class Sampler:
     ``flock`` on the file and checks the header under it, so several
     processes may share one cache file.
     The path may also come from the ``HILB_CACHE`` environment variable.
+    A path that is a directory, or whose directory does not exist, is
+    refused with ValueError before anything is sampled.
     """
 
     def __init__(self, cache_path: Optional[str] = None):
@@ -175,6 +177,10 @@ class Sampler:
         #: record lines of the cache file that could not be decoded
         self.corrupt_lines = 0
         if cache_path:
+            if os.path.isdir(cache_path):
+                raise ValueError("cache path %r is a directory" % cache_path)
+            if not os.path.isdir(os.path.dirname(cache_path) or "."):
+                raise ValueError("the directory of cache path %r does not exist" % cache_path)
             self._load()
 
     def _load(self) -> None:
@@ -186,17 +192,18 @@ class Sampler:
             lines = fh.read().splitlines()
         if not lines or not _is_header(lines[0]):
             return
+        # each point is stored once per n; its strings are parsed once
+        parsed: Dict[tuple, Params] = {}
         for ln in filter(str.strip, lines[1:]):
             try:
                 rec = json.loads(ln)
-                params = (
-                    Q(rec["d"]),
-                    Q(rec["pi"]),
-                    Q(rec["kappa"]),
-                    int(rec["b2_extra"]),
-                )
+                raw = (rec["d"], rec["pi"], rec["kappa"], rec["b2_extra"])
+                params = parsed.get(raw)
+                if params is None:
+                    d, pi, kappa, b2 = raw
+                    params = parsed[raw] = (Q(d), Q(pi), Q(kappa), int(b2))
                 self._mem[(int(rec["n"]), params)] = Q(rec["value"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, ArithmeticError):
                 self.corrupt_lines += 1
 
     def _append(self, n: int, params: Params, value: Q) -> None:
@@ -327,28 +334,49 @@ def _eliminate_mod(
     indexed like R: it replays the recorded multipliers on ``v``, then
     back-substitutes, in O(|R|^2).  ``A_RC`` is nonsingular modulo ``p``,
     hence over Q.
+
+    Each working row is one int of fixed-width slots, so that a row
+    update is one multiply-add of ints.  Slots are not reduced: a slot
+    starts below p and takes at most one update, below p*p, per pivot, so
+    ``p + min(rows, columns) * p*p`` bounds it and fixes the width; an
+    entry is read as its slot modulo p.  Once column ``col`` is read, every
+    row not yet a pivot drops its lowest slot, so that slot 0 holds
+    column ``col + 1``: left of it those rows are zero modulo p, and no
+    update touches the dropped slots.
     """
-    work = [[x % p for x in row] for row in mat]
+    ncols = len(mat[0])
+    nbytes = -(-(p + min(len(mat), ncols) * p * p).bit_length() // 8)
+    width = 8 * nbytes
+    mask = (1 << width) - 1
+
+    def pack(xs: Sequence[int]) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in xs), "little")
+
+    work = [pack([x % p for x in row]) for row in mat]
     live = list(range(len(mat)))
-    steps = []  # (pivot row, pivot column, inverse of the pivot, [(row, multiplier)])
-    for col in range(len(mat[0])):
-        src = next((i for i in live if work[i][col]), None)
-        if src is None:
-            continue
-        live.remove(src)
-        top = work[src]
-        inv = pow(top[col], -1, p)
-        # left of col every row not yet a pivot is zero, and column col is
-        # not read again below the pivot
-        tail = top[col + 1:] = [x * inv % p for x in top[col + 1:]]
-        targets = []
+    # (pivot row, pivot column, inverse of the pivot, [(row, multiplier)],
+    # the pivot row right of its column times the inverse)
+    steps = []
+    for col in range(ncols):
+        entries = [(i, (work[i] & mask) % p) for i in live]
         for i in live:
-            row = work[i]
-            f = row[col]
-            if f:
-                row[col + 1:] = [(x - f * y) % p for x, y in zip(row[col + 1:], tail)]
-                targets.append((i, f))
-        steps.append((src, col, inv, targets))
+            work[i] >>= width
+        piv = next(((i, x) for i, x in entries if x), None)
+        if piv is None:
+            continue
+        src, x = piv
+        live.remove(src)
+        inv = pow(x, -1, p)
+        raw = work[src].to_bytes(nbytes * (ncols - col - 1), "little")
+        tail = [
+            int.from_bytes(raw[k:k + nbytes], "little") * inv % p
+            for k in range(0, len(raw), nbytes)
+        ]
+        neg = pack([-y % p for y in tail])
+        targets = [(i, f) for i, f in entries if f and i != src]
+        for i, f in targets:
+            work[i] += f * neg
+        steps.append((src, col, inv, targets, tail))
     piv_rows = [s[0] for s in steps]
     piv_cols = [s[1] for s in steps]
     pos = {i: k for k, i in enumerate(piv_rows)}
@@ -356,11 +384,11 @@ def _eliminate_mod(
     # at later pivot columns, all by pivot position
     replay = [
         (inv, [(pos[i], f) for i, f in targets if i in pos])
-        for _, _, inv, targets in steps
+        for _, _, inv, targets, _ in steps
     ]
     upper = [
-        [(l, u) for l, u in enumerate(work[i][c] for c in piv_cols) if l > k and u]
-        for k, i in enumerate(piv_rows)
+        [(l, u) for l, u in enumerate((tail[c - col - 1] for c in piv_cols[k + 1:]), k + 1) if u]
+        for k, (_, col, _, _, tail) in enumerate(steps)
     ]
 
     def solve_mod(vec: Sequence[int]) -> List[int]:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hilbfock import ENGINE_VERSION, cli
+from hilbfock import ENGINE_VERSION, cli, segre
 from hilbfock.cli import main, parse_bundle
 from hilbfock.segre import KNOWN_DM, UnivPoly
 from hilbfock.surface import CohClass
@@ -211,3 +211,22 @@ def test_out_of_range_sizes_are_usage_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["segre", "--n", "2", "--symbolic"], ["dm", "--max-m", "2"], ["conjecture", "--n-max", "2"]],
+    ids=["segre-symbolic", "dm", "conjecture"],
+)
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unusable_cache_path_is_refused_before_sampling(capsys, monkeypatch, tmp_path, argv, where):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("segre_series was called")
+
+    monkeypatch.setattr(segre, "segre_series", no_sampling)
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "cache.jsonl"
+    code = main(argv + ["--cache", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err

@@ -297,6 +297,24 @@ def test_cache_counts_corrupt_lines(tmp_path):
     assert s._mem == {(2, (Q(1), Q(0), Q(-1), 0)): Q(-2)}
 
 
+def test_cache_load_counts_every_bad_line_of_a_point(tmp_path):
+    # a point's strings are parsed once, but a bad one fails on every line
+    path = str(tmp_path / "cache.jsonl")
+    good = {"d": "1/1", "pi": "0/1", "kappa": "-1/1", "b2_extra": 0}
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"engine_version": ENGINE_VERSION}) + "\n")
+        for n in range(3):
+            fh.write(json.dumps(dict(good, n=n, value="%d/1" % n)) + "\n")
+            fh.write(json.dumps(dict(good, n=n, d="1/0", value="0/1")) + "\n")
+            fh.write(json.dumps(dict(good, n=n, pi="x", value="0/1")) + "\n")
+            fh.write(json.dumps(dict(good, n=n, kappa=float("inf"), value="0/1")) + "\n")
+            fh.write(json.dumps(dict(good, n=n)) + "\n")  # no value
+        fh.write(json.dumps(dict(good, n=3, d="1", value="3/1")) + "\n")
+    s = Sampler(path)
+    assert s.corrupt_lines == 12
+    assert s._mem == {(n, (Q(1), Q(0), Q(-1), 0)): Q(n) for n in range(4)}
+
+
 def _store_records(path, first, count, start):
     # the first json.dumps of the process, which renders the header when
     # one is written, is slowed down: that widens the window between
@@ -611,3 +629,143 @@ def test_solver_survives_an_unlucky_prime():
     assert solve_overdetermined(rows, rhs) == [1, 1]
     assert solve_overdetermined(rows[:2], rhs[:2]) == [1, 1]
     assert solve_overdetermined([[Q(p)]], [Q(3)]) == [Q(3, p)]
+
+
+# -- the modular elimination ---------------------------------------------------
+
+def _eliminate_mod_reference(mat, p):
+    """Reference elimination: ``segre._eliminate_mod`` on lists of residues.
+
+    Each working row is a list reduced modulo p after every update; same
+    pivots, multipliers and ``solve_mod`` as the packed rows.
+    """
+    work = [[x % p for x in row] for row in mat]
+    live = list(range(len(mat)))
+    steps = []  # (pivot row, pivot column, inverse of the pivot, [(row, multiplier)])
+    for col in range(len(mat[0])):
+        src = next((i for i in live if work[i][col]), None)
+        if src is None:
+            continue
+        live.remove(src)
+        top = work[src]
+        inv = pow(top[col], -1, p)
+        # left of col every row not yet a pivot is zero, and column col is
+        # not read again below the pivot
+        tail = top[col + 1:] = [x * inv % p for x in top[col + 1:]]
+        targets = []
+        for i in live:
+            row = work[i]
+            f = row[col]
+            if f:
+                row[col + 1:] = [(x - f * y) % p for x, y in zip(row[col + 1:], tail)]
+                targets.append((i, f))
+        steps.append((src, col, inv, targets))
+    piv_rows = [s[0] for s in steps]
+    piv_cols = [s[1] for s in steps]
+    pos = {i: k for k, i in enumerate(piv_rows)}
+    replay = [
+        (inv, [(pos[i], f) for i, f in targets if i in pos])
+        for _, _, inv, targets in steps
+    ]
+    upper = [
+        [(l, u) for l, u in enumerate(work[i][c] for c in piv_cols) if l > k and u]
+        for k, i in enumerate(piv_rows)
+    ]
+
+    def solve_mod(vec):
+        v = [x % p for x in vec]
+        for k, (inv, targets) in enumerate(replay):
+            t = v[k] = v[k] * inv % p
+            for i, f in targets:
+                v[i] = (v[i] - f * t) % p
+        y = [0] * len(v)
+        for k in range(len(v) - 1, -1, -1):
+            acc = v[k]
+            for l, u in upper[k]:
+                acc -= u * y[l]
+            y[k] = acc % p
+        return y
+
+    return piv_rows, piv_cols, solve_mod
+
+
+def _same_elimination(mat, p, vectors):
+    rows, cols, solve = segre._eliminate_mod(mat, p)
+    ref_rows, ref_cols, ref_solve = _eliminate_mod_reference(mat, p)
+    assert (rows, cols) == (ref_rows, ref_cols)
+    for vec in vectors:
+        assert solve(vec[: len(rows)]) == ref_solve(vec[: len(rows)])
+
+
+@st.composite
+def residue_systems(draw):
+    """(matrix, prime): small, large, negative and multiple-of-p entries,
+    with any mix of a zero column, a duplicated column and a dependent row."""
+    p = draw(st.sampled_from((2, 3, 5, 7, segre._modulus(0))))
+    entry = st.one_of(
+        st.integers(-9, 9),
+        st.integers(-(2**70), 2**70),
+        st.builds(lambda k, r: k * p + r, st.integers(-3, 3), st.integers(-1, 1)),
+    )
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    mat = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans(), label="insert a zero column"):
+        at = draw(st.integers(0, ncols))
+        mat = [r[:at] + [0] + r[at:] for r in mat]
+    if draw(st.booleans(), label="duplicate a column"):
+        j, at = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols))
+        mat = [r[:at] + [r[j]] + r[at:] for r in mat]
+    if draw(st.booleans(), label="add a dependent row"):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        i, k = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        row = [a * x + b * y for x, y in zip(mat[i], mat[k])]
+        mat.insert(draw(st.integers(0, nrows)), row)
+    return mat, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_systems(), st.data())
+def test_packed_elimination_matches_the_reference(system, data):
+    # same pivot rows and columns, and the same solve_mod on random vectors
+    mat, p = system
+    vec = st.lists(st.integers(-(2**64), 2**64), min_size=len(mat), max_size=len(mat))
+    _same_elimination(mat, p, [data.draw(vec) for _ in range(3)])
+
+
+def test_packed_elimination_matches_the_reference_on_n8():
+    # the largest accepted system: 213 sample rows, 210 unknowns
+    monos = support_monomials(8)
+    mat = [
+        [int(d) ** a * int(pi) ** b * int(kappa) ** c * (4 + b2) ** f for a, b, c, f in monos]
+        for d, pi, kappa, b2 in sample_grid(8, len(monos) + segre.EXTRA_POINTS)
+    ]
+    assert (len(mat), len(mat[0])) == (213, 210)
+    rng = random.Random(8)
+    _same_elimination(
+        mat, segre._modulus(0), [[rng.randint(-(2**90), 2**90) for _ in mat] for _ in range(2)]
+    )
+
+
+def test_n8_by_interpolation(monkeypatch):
+    # N_8 from closed-form samples, with the chain switched off: the solver
+    # at its largest accepted size
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("segre_series was called")
+
+    monkeypatch.setattr(segre, "segre_series", no_sampling)
+    grid = sample_grid(8, len(support_monomials(8)) + segre.EXTRA_POINTS)
+    sampler = Sampler()
+    for params in grid:
+        d, pi, kappa, b2 = params
+        values = conjecture_series(d, pi, kappa, 4 + b2, 8)
+        for n in range(9):
+            sampler.store(n, params, values.coefficient(n))
+    poly = segre_polynomial(8, sampler)
+    rng = random.Random(88)
+    points = []
+    while len(points) < 4:
+        point = tuple(Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+        if point[:3] + (point[3] - 4,) not in grid:
+            points.append(point)
+    for point in points:
+        assert poly.evaluate(*point) == conjecture_series(*point, 8).coefficient(8), point
