@@ -49,12 +49,6 @@ def int_vec(v: Mapping[Hashable, Q]) -> IntVec:
     return {k: x.numerator * (den // x.denominator) for k, x in v.items()}, den
 
 
-def frac_vec(v: IntVec) -> Dict[Hashable, Q]:
-    """An integer vector as a rational term dict; the inverse of :func:`int_vec`."""
-    num, den = v
-    return {k: Q(x, den) for k, x in num.items()}
-
-
 def int_reduce(num: Dict[Hashable, int], den: int) -> IntVec:
     """Drop the zero numerators and divide out the common content."""
     num = {k: x for k, x in num.items() if x}

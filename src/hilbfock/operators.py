@@ -28,18 +28,24 @@ L_n(a) is the normal-ordered pair sum of c q_(n-mu)(s') q_mu(s'') over
 mu = n-mu.  The truncated quadratic operator e_n is minus its pairs with
 mu < 0, the ones that hold an annihilator.
 
-An :class:`OperatorEngine` instance owns per-model memoization caches: the
-oscillators, Virasoro operators, first derivatives and the boundary operator
-are memoized monomial by monomial as integer columns, numerators over one
-denominator per family, the one each formula implies.  With ``_qden`` the
-lcm of the denominators of the pairings <s, t> and ``_den`` the model
-denominator of D, a q column is over ``_qden``, and the L, e and q' columns,
-built from a cut-table entry c/2 and two oscillators, are over
-``_Lden = _den * _qden**2``.  The public operators convert to ``Fraction``
-only at return.  The higher derivatives ad^nu(q_n) and the Chern class
-operators act on whole vectors through one integer kernel,
-:meth:`OperatorEngine._ad_series`, which can form the part of one degree
-alone; the top Segre numbers use that for the last weight step.
+An :class:`OperatorEngine` instance owns one monomial table and per-model
+memoization caches.  The table gives each monomial it meets a small integer
+id, once, and keeps the reverse lists id -> monomial and id -> degree; a
+creation factor q_m(sym) is an id -> id table filled on demand, so no
+monomial tuple is hashed or rebuilt twice.  Every memo and every integer
+vector inside the engine is keyed by these ids: the oscillators, Virasoro
+operators, first derivatives and the boundary operator are memoized
+monomial by monomial as integer columns, numerators over one denominator
+per family, the one each formula implies.  With ``_qden`` the lcm of the
+denominators of the pairings <s, t> and ``_den`` the model denominator of
+D, a q column is over ``_qden``, and the L, e and q' columns, built from a
+cut-table entry c/2 and two oscillators, are over ``_Lden = _den *
+_qden**2``.  Monomial tuples and ``Fraction``s appear only at the public
+operators, which convert a :class:`FockVector` in and out once per call.
+The higher derivatives ad^nu(q_n) and the Chern class operators act on
+whole vectors through one integer kernel, :meth:`OperatorEngine._ad_series`,
+which can form the part of one degree alone; the top Segre numbers use
+that for the last weight step.
 """
 
 from __future__ import annotations
@@ -48,19 +54,17 @@ from fractions import Fraction
 from functools import partial
 from itertools import groupby
 from math import comb, factorial, inf, lcm
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .fock import FockVector, Monomial, mono_degree, mono_insert, mono_weight, vacuum
-from .linear import IntVec, axpy, frac_vec, int_apply, int_combine, int_reduce, int_vec
+from .linear import IntVec, axpy, int_apply, int_combine, int_reduce, int_vec
 from .surface import CohClass, KClassSpec, SurfaceModel
 
 Q = Fraction
 
-Vec = Dict[Monomial, Q]
-
 #: A column of a memoized operator: integer numerators over its family
-#: denominator.
-Column = Dict[Monomial, int]
+#: denominator, keyed by monomial id.
+Column = Dict[int, int]
 
 
 def gen_binomial(x: int, nu: int) -> Q:
@@ -79,20 +83,24 @@ def _scaled(x: Q, den: int) -> int:
     return y.numerator
 
 
-def _created(v: dict, m: int, sym: str) -> dict:
-    """The creation operator q_m(sym), m >= 1, on a term dict: a relabelling."""
-    return {mono_insert(M, m, sym): c for M, c in v.items()}
-
-
-def _fock(images, den: int) -> FockVector:
-    """The sum of c * column / den over ``(c, column)`` in ``images``."""
-    return FockVector(frac_vec(int_combine((c, (col, den)) for c, col in images)))
-
-
 def _without(M: Monomial, f) -> Monomial:
     """M with one copy of the factor f removed."""
     i = M.index(f)
     return M[:i] + M[i + 1:]
+
+
+class _Table(dict):
+    """A dict that fills a missing key k with ``fill(k)`` and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, k):
+        v = self[k] = self.fill(k)
+        return v
 
 
 def _boundary_tables(model: SurfaceModel):
@@ -131,14 +139,31 @@ class OperatorEngine:
 
     def __init__(self, model: SurfaceModel):
         self.model = model
-        # q, L, q' and D columns, numerators over _qden, _Lden, _Lden and _den
-        self._q_cache: Dict[Tuple[int, str, Monomial], Column] = {}
-        self._L_cache: Dict[Tuple[int, str, Monomial], Column] = {}
-        self._qp_cache: Dict[Tuple[int, str, Monomial], Column] = {}
-        self._b_cache: Dict[Monomial, Column] = {}
+        # the monomial table: _ids[M] is the id of M, interned on first
+        # lookup, and _monos[i], _degs[i] the monomial and degree of id i;
+        # _ins[m, sym][i] is the id of q_m(sym) M_i for m >= 1.  The tables
+        # hold the lists, not the engine, so an engine is freed on its last
+        # reference.
+        monos: List[Monomial] = []
+        degs: List[int] = []
+
+        def intern(M: Monomial) -> int:
+            monos.append(M)
+            degs.append(mono_degree(M, model))
+            return len(monos) - 1
+
+        ids = self._ids = _Table(intern)
+        self._monos, self._degs = monos, degs
+        self._ins = _Table(lambda f: _Table(lambda i: ids[mono_insert(monos[i], *f)]))
+        # q, L, q' and D columns by (index, symbol, id) or id, numerators
+        # over _qden, _Lden, _Lden and _den
+        self._q_cache: Dict[Tuple[int, str, int], Column] = {}
+        self._L_cache: Dict[Tuple[int, str, int], Column] = {}
+        self._qp_cache: Dict[Tuple[int, str, int], Column] = {}
+        self._b_cache: Dict[int, Column] = {}
         # Always empty: higher derivatives are not memoized per monomial. It
         # stays because perfbench/probes.py reads every cache attribute.
-        self._qd_cache: Dict[Tuple[int, int, str, Monomial], Vec] = {}
+        self._qd_cache: Dict[Tuple[int, int, str, int], Column] = {}
         self._den, self._cut, self._join, self._kterm = _boundary_tables(model)
         syms = model.symbols
         self._pair, self._qden = int_vec(
@@ -146,30 +171,53 @@ class OperatorEngine:
         )
         self._Lden = self._den * self._qden**2
 
+    # -- conversion at the public operators --------------------------------
+
+    def _terms(self, v: FockVector) -> List[Tuple[int, Q]]:
+        """The terms of v as (id, coefficient) pairs."""
+        ids = self._ids
+        return [(ids[M], c) for M, c in v.terms.items()]
+
+    def _in(self, v: FockVector) -> IntVec:
+        """v as an integer vector keyed by ids."""
+        return int_vec(dict(self._terms(v)))
+
+    def _out(self, v: IntVec) -> FockVector:
+        """An integer vector keyed by ids as a Fock vector."""
+        num, den = v
+        monos = self._monos
+        return FockVector({monos[i]: Q(x, den) for i, x in num.items()})
+
+    def _fock(self, images: Iterable[Tuple[Q, Column]], den: int) -> FockVector:
+        """The sum of c * column / den over ``(c, column)`` in ``images``."""
+        return self._out(int_combine((c, (col, den)) for c, col in images))
+
     def _apply(self, col: Callable, den: int, m: int, a: CohClass, v: FockVector) -> FockVector:
-        """The column operator ``col(m, sym, M) / den``, extended bilinearly."""
-        return _fock(
-            ((ca * c, col(m, sym, M)) for sym, ca in a.terms.items() for M, c in v.terms.items()),
+        """The column operator ``col(m, sym, i) / den``, extended bilinearly."""
+        terms = self._terms(v)
+        return self._fock(
+            ((ca * c, col(m, sym, i)) for sym, ca in a.terms.items() for i, c in terms),
             den,
         )
 
     # -- oscillators -------------------------------------------------------
 
-    def _q_mono(self, m: int, sym: str, M: Monomial) -> Column:
-        """q_m(sym) M over _qden: for m = -n < 0, removing a factor q_n(s)
-        contributes -n <sym, s>; q_0 is zero."""
-        key = (m, sym, M)
+    def _q_mono(self, m: int, sym: str, i: int) -> Column:
+        """q_m(sym) on the monomial of id i, over _qden: for m = -n < 0,
+        removing a factor q_n(s) contributes -n <sym, s>; q_0 is zero."""
+        key = (m, sym, i)
         out = self._q_cache.get(key)
         if out is None:
             if m > 0:
-                out = {mono_insert(M, m, sym): self._qden}
+                out = {self._ins[m, sym][i]: self._qden}
             else:
+                M, ids = self._monos[i], self._ids
                 out = {}
-                for j, (i, s) in enumerate(M):
+                for j, (k, s) in enumerate(M):
                     c = self._pair[sym, s]
-                    if i == -m and c:
-                        M2 = M[:j] + M[j + 1:]
-                        out[M2] = out.get(M2, 0) + m * c
+                    if k == -m and c:
+                        N = ids[M[:j] + M[j + 1:]]
+                        out[N] = out.get(N, 0) + m * c
             self._q_cache[key] = out
         return out
 
@@ -180,36 +228,38 @@ class OperatorEngine:
         """q_m(sym) on an integer vector: for m >= 1 a relabelling."""
         num, den = v
         if m > 0:
-            return _created(num, m, sym), den
+            ins = self._ins[m, sym]
+            return {ins[i]: c for i, c in num.items()}, den
         return int_reduce(int_apply({}, partial(self._q_mono, m, sym), num), den * self._qden)
 
     # -- Virasoro operators ------------------------------------------------
 
-    def _pairs(self, m: int, sym: str, M: Monomial, top: int) -> Column:
+    def _pairs(self, m: int, sym: str, i: int, top: int) -> Column:
         """The pairs q_(m-mu)(s') q_mu(s'') M of L_m(sym) M with mu <= ``top``,
-        over _Lden; for top <= m // 2 each unordered pair once, as delta is
-        symmetric.  The cut table of D holds c/2 for (c, s', s'') in delta
-        over _den, and each oscillator is over _qden."""
-        raw: Dict[Monomial, int] = {}
+        over _Lden, for M of id i; for top <= m // 2 each unordered pair
+        once, as delta is symmetric.  The cut table of D holds c/2 for
+        (c, s', s'') in delta over _den, and each oscillator is over _qden."""
+        raw: Column = {}
+        low = -mono_weight(self._monos[i])
         for c, s1, s2 in self._cut[sym]:
-            for mu in range(-mono_weight(M), top + 1):
+            for mu in range(low, top + 1):
                 nu = m - mu
                 if mu and nu:
-                    t = self._q_mono(mu, s2, M)
+                    t = self._q_mono(mu, s2, i)
                     if t:
                         int_apply(raw, partial(self._q_mono, nu, s1), t, c if nu == mu else 2 * c)
         return {N: x for N, x in raw.items() if x}
 
-    def _L_mono(self, m: int, sym: str, M: Monomial) -> Column:
-        key = (m, sym, M)
+    def _L_mono(self, m: int, sym: str, i: int) -> Column:
+        key = (m, sym, i)
         out = self._L_cache.get(key)
         if out is None:
-            out = self._L_cache[key] = self._pairs(m, sym, M, m // 2)
+            out = self._L_cache[key] = self._pairs(m, sym, i, m // 2)
         return out
 
-    def _e_mono(self, n: int, sym: str, M: Monomial) -> Column:
+    def _e_mono(self, n: int, sym: str, i: int) -> Column:
         """e_n(sym) M over _Lden: minus the pairs of L_n that hold an annihilator."""
-        return {N: -x for N, x in self._pairs(n, sym, M, min(-1, n // 2)).items()}
+        return {N: -x for N, x in self._pairs(n, sym, i, min(-1, n // 2)).items()}
 
     def virasoro(self, m: int, a: CohClass, v: FockVector) -> FockVector:
         return self._apply(self._L_mono, self._Lden, m, a, v)
@@ -219,67 +269,75 @@ class OperatorEngine:
 
     # -- boundary operator and derivatives ---------------------------------
 
-    def _qprime_mono(self, n: int, sym: str, M: Monomial) -> Column:
+    def _qprime_mono(self, n: int, sym: str, i: int) -> Column:
         """q'_n(sym) M = n L_n(sym) M + n(|n|-1)/2 k q_n(t) M, K.sym = k t,
         over _Lden; the K table of D holds k/2 over _den."""
-        key = (n, sym, M)
+        key = (n, sym, i)
         out = self._qp_cache.get(key)
         if out is None:
-            raw = {N: n * x for N, x in self._L_mono(n, sym, M).items()}
+            raw = {N: n * x for N, x in self._L_mono(n, sym, i).items()}
             for k, t in self._kterm[sym] if abs(n) > 1 else ():
                 f = n * (abs(n) - 1) * k * self._qden
-                for N, y in self._q_mono(n, t, M).items():
+                for N, y in self._q_mono(n, t, i).items():
                     raw[N] = raw.get(N, 0) + f * y
             out = self._qp_cache[key] = {N: x for N, x in raw.items() if x}
         return out
 
-    def _boundary_mono(self, M: Monomial) -> Column:
-        """D on one monomial by the cut-and-join formula of the module
-        docstring, as integer numerators over the model denominator.
+    def _boundary_mono(self, i: int, store: bool = True) -> Column:
+        """D on the monomial of id i by the cut-and-join formula of the
+        module docstring, as integer numerators over the model denominator;
+        memoized unless ``store`` is false.
 
         Equal factors are taken together: a factor q_n(s) of multiplicity m
         cuts into q_nu(s') q_(n-nu)(s'') with weight m * n * c/2 for each
         (c, s', s'') in delta(s) and 0 < nu < n, turns into q_n(t) with
         weight m * n(n-1)/2 * k for K.s = k t, and joins each later factor
         q_n2(s2), and each other copy of itself, into q_(n+n2)(s') with
-        weight -n * n2 * c <s'', s2>.  No other memo is read.
+        weight -n * n2 * c <s'', s2>.  Each image is an insertion into the
+        monomial without the factors used up.  No other memo is read.
         """
-        out = self._b_cache.get(M)
+        out = self._b_cache.get(i)
         if out is not None:
             return out
+        M, ids, ins = self._monos[i], self._ids, self._ins
         groups = [(f, len(list(copies))) for f, copies in groupby(M)]
-        num: Dict[Monomial, int] = {}
+        num: Column = {}
         get = num.get
         for a, (f, m) in enumerate(groups):
             n, s = f
             rest = _without(M, f)
+            r = ids[rest]
             w = m * n
             for c, s1, s2 in self._cut[s]:
                 for nu in range(1, n):
-                    N = mono_insert(mono_insert(rest, nu, s1), n - nu, s2)
+                    N = ins[n - nu, s2][ins[nu, s1][r]]
                     num[N] = get(N, 0) + w * c
             if n > 1:
                 for c, t in self._kterm[s]:
-                    N = mono_insert(rest, n, t)
+                    N = ins[n, t][r]
                     num[N] = get(N, 0) + w * (n - 1) * c
             joins = [(f, m * (m - 1) // 2)] if m > 1 else []
             joins += [(g, m * m2) for g, m2 in groups[a + 1:]]
             for (n2, s2), pairs in joins:
-                rest2 = _without(rest, (n2, s2))
+                r2 = ids[_without(rest, (n2, s2))]
                 w2 = -pairs * n * n2
                 for c, s1 in self._join[s, s2]:
-                    N = mono_insert(rest2, n + n2, s1)
+                    N = ins[n + n2, s1][r2]
                     num[N] = get(N, 0) + w2 * c
-        out = self._b_cache[M] = {N: x for N, x in num.items() if x}
+        out = {N: x for N, x in num.items() if x}
+        if store:
+            self._b_cache[i] = out
         return out
 
-    def _boundary_int(self, v: IntVec) -> IntVec:
-        """The boundary operator on an integer vector, exactly."""
+    def _boundary_int(self, v: IntVec, store: bool = True) -> IntVec:
+        """The boundary operator on an integer vector, exactly; the columns
+        it fills are memoized unless ``store`` is false."""
         num, den = v
-        return int_reduce(int_apply({}, self._boundary_mono, num), den * self._den)
+        col = self._boundary_mono if store else partial(self._boundary_mono, store=False)
+        return int_reduce(int_apply({}, col, num), den * self._den)
 
     def boundary(self, v: FockVector) -> FockVector:
-        return _fock(((c, self._boundary_mono(M)) for M, c in v.terms.items()), self._den)
+        return self._fock(((c, self._boundary_mono(i)) for i, c in self._terms(v)), self._den)
 
     # -- derivatives: one whole-vector kernel ------------------------------
 
@@ -287,9 +345,9 @@ class OperatorEngine:
         self,
         n: int,
         series: List[Tuple[Callable[[int], Q], Dict[str, Q]]],
-        v: Vec,
+        v: IntVec,
         degree: Optional[int] = None,
-    ) -> Vec:
+    ) -> IntVec:
         """The sum over ``(b, c)`` in ``series`` and over nu of
         ``b(nu) * ad^nu(q_n(c)) v``, where ad is the commutator with the
         boundary operator D; with ``degree``, only its degree-``degree`` part.
@@ -312,15 +370,18 @@ class OperatorEngine:
         ``D^j v`` above ``degree - (2n - 2)`` are dropped, and at Horner
         index i only the terms q_n(sym) D^j v of degree ``degree - 2i`` are
         kept.  Nothing else reaches the target degree, so the result is its
-        exact degree-``degree`` part.
+        exact degree-``degree`` part.  A truncated step is the last of a
+        chain, so the D columns of the accumulator, of weight w + n, are
+        then not memoized: nothing reads them again.
 
-        Inside, vectors are integer numerators over one common denominator
-        each (:data:`IntVec`), and D is read from the integer boundary memo;
-        the result is converted back to Fractions.
+        v and the result are integer vectors keyed by monomial ids, and D
+        is read from the integer boundary memo.
         """
-        if not v:
-            return {}
-        top = 2 * max(mono_weight(M) for M in v) + n + 1
+        num, den = v
+        if not num:
+            return {}, 1
+        monos, degs = self._monos, self._degs
+        top = 2 * max(mono_weight(monos[i]) for i in num) + n + 1
         rows = []
         for b, cls in series:
             row = [b(nu) for nu in range(top + 1)]
@@ -331,12 +392,12 @@ class OperatorEngine:
         nu_last = max((len(row) for row, _ in rows), default=0) - 1
         cap = inf if degree is None else degree - (2 * n - 2)
         # powers[j][e] is the degree-e part of D^j v
-        split: Dict[int, Vec] = {}
-        for M, c in v.items():
-            e = mono_degree(M, self.model)
+        split: Dict[int, Column] = {}
+        for i, c in num.items():
+            e = degs[i]
             if e <= cap:
-                split.setdefault(e, {})[M] = c
-        powers = [{e: int_vec(part) for e, part in split.items()}]
+                split.setdefault(e, {})[i] = c
+        powers = [{e: int_reduce(part, den) for e, part in split.items()}]
         while len(powers) <= nu_last:
             nxt = {}
             for e, part in powers[-1].items():
@@ -364,20 +425,57 @@ class OperatorEngine:
                     for sym, cc in cls.items():
                         key = (sym, j)
                         coeffs[key] = coeffs.get(key, 0) + f * cc
-            parts = [(Q(1), self._boundary_int(acc))]
+            parts = [(Q(1), self._boundary_int(acc, store=degree is None))]
             for (sym, j), f in coeffs.items():
                 if degree is None:
-                    degs = powers[j]
+                    ds = powers[j]
                 else:
-                    degs = (degree - 2 * i - shift[sym],)
-                for e in degs:
+                    ds = (degree - 2 * i - shift[sym],)
+                for e in ds:
                     if e in powers[j]:
                         key = (sym, j, e)
                         if key not in created:
                             created[key] = self._q_int(n, sym, powers[j][e])
                         parts.append((f, created[key]))
             acc = int_combine(parts)
-        return frac_vec(acc)
+        return acc
+
+    def q_derivatives(
+        self, n: int, order: int, a: CohClass, v: FockVector
+    ) -> List[FockVector]:
+        """The derivatives q_n^(nu)(a) v for nu = 0 .. order: iterated
+        boundary commutators, every order from one kernel pass.
+
+        ad^nu(q_n(s)) raises the degree by 2(n + nu - 1) + deg s.  So on the
+        degree-e part of v and the classes s of one degree, the kernel
+        :meth:`_ad_series` with b_nu = 1 for nu <= order returns the sum of
+        the orders, each in its own degree, and the orders are read off by
+        degree: one pass per such pair of parts.
+        """
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        degs = self._degs
+        parts: Dict[int, Dict[int, Q]] = {}
+        for i, c in self._terms(v):
+            parts.setdefault(degs[i], {})[i] = c
+        classes: Dict[int, Dict[str, Q]] = {}
+        for sym, c in a.terms.items():
+            classes.setdefault(self.model.degree[sym], {})[sym] = c
+
+        def upto(nu: int) -> int:
+            return int(nu <= order)
+
+        by_order: List[List[Tuple[Q, IntVec]]] = [[] for _ in range(order + 1)]
+        for e, part in parts.items():
+            for ds, cls in classes.items():
+                num, den = self._ad_series(n, [(upto, cls)], int_vec(part))
+                split: List[Column] = [{} for _ in range(order + 1)]
+                base = e + ds + 2 * n - 2
+                for i, x in num.items():
+                    split[(degs[i] - base) // 2][i] = x
+                for nu, vec in enumerate(split):
+                    by_order[nu].append((Q(1), (vec, den)))
+        return [self._out(int_combine(vecs)) for vecs in by_order]
 
     def q_derivative(
         self, n: int, order: int, a: CohClass, v: FockVector
@@ -385,7 +483,7 @@ class OperatorEngine:
         """The order-th derivative of q_n(a): iterated boundary commutator.
 
         Order 1 is Lehn's commutator rule, memoized per monomial; higher
-        orders are the kernel :meth:`_ad_series` with b_nu = [nu == order].
+        orders come from :meth:`q_derivatives`.
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
@@ -393,8 +491,7 @@ class OperatorEngine:
             return self.q(n, a, v)
         if order == 1:
             return self._apply(self._qprime_mono, self._Lden, n, a, v)
-        series = [(lambda nu: int(nu == order), a.terms)]
-        return FockVector(self._ad_series(n, series, v.terms))
+        return self.q_derivatives(n, order, a, v)[order]
 
     # -- Chern class operators ---------------------------------------------
 
@@ -415,7 +512,7 @@ class OperatorEngine:
             (partial(gen_binomial, u.rank - k), cls)
             for k, cls in ((0, {"1": Q(1)}), (1, u.c1.terms), (2, u.c2.terms))
         ]
-        return FockVector(self._ad_series(1, series, v.terms, degree))
+        return self._out(self._ad_series(1, series, self._in(v), degree))
 
     def total_chern_classes(self, u: KClassSpec, n_max: int) -> List[FockVector]:
         """Total Chern classes of the tautological sheaves for 0 <= n <= n_max.
@@ -443,24 +540,28 @@ class OperatorEngine:
         series = [
             (lambda nu: Q(1, factorial(nu)), u.chern_character(self.model).terms)
         ]
-        g: Vec = {}
-        w: Vec = {(): Q(1)}
+        g: IntVec = ({}, 1)
+        w: IntVec = ({self._ids[()]: 1}, 1)
         for _ in range(n):
-            g = _created(g, 1, "1")
-            axpy(g, self._ad_series(1, series, w), Q(1))
-            w = _created(w, 1, "1")
-        return FockVector(g).scale(Q(1, factorial(n)))
+            g = int_combine(
+                [(Q(1), self._q_int(1, "1", g)), (Q(1), self._ad_series(1, series, w))]
+            )
+            w = self._q_int(1, "1", w)
+        return self._out(g).scale(Q(1, factorial(n)))
 
     # -- vertex operator ---------------------------------------------------
 
     def vertex(self, gamma: CohClass, n_max: int) -> List[FockVector]:
         """Components of exp(sum over n of (-1)^(n-1)/n q_n(gamma)) applied
         to the vacuum, for weights 0 .. n_max."""
-        comps: List[Vec] = [{(): Q(1)}]
+        comps: List[Dict[int, Q]] = [{self._ids[()]: Q(1)}]
         for m in range(1, n_max + 1):
-            acc: Vec = {}
+            acc: Dict[int, Q] = {}
             for j in range(1, m + 1):
                 for sym, cg in gamma.terms.items():
-                    axpy(acc, _created(comps[m - j], j, sym), (-1) ** (j - 1) * cg)
-            comps.append({M: c / m for M, c in acc.items()})
-        return [FockVector(c) for c in comps]
+                    ins = self._ins[j, sym]
+                    created = {ins[i]: c for i, c in comps[m - j].items()}
+                    axpy(acc, created, (-1) ** (j - 1) * cg)
+            comps.append({i: c / m for i, c in acc.items()})
+        monos = self._monos
+        return [FockVector({monos[i]: c for i, c in comp.items()}) for comp in comps]

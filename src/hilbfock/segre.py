@@ -174,6 +174,9 @@ class Sampler:
             cache_path = os.environ.get("HILB_CACHE") or None
         self.cache_path = cache_path
         self._mem: Dict[Tuple[int, Params], Q] = {}
+        #: point -> k such that N_0 .. N_(k-1) are all in _mem there, as far
+        #: as the load and :meth:`_holds` have looked; values are never removed
+        self._held: Dict[Params, int] = {}
         #: record lines of the cache file that could not be decoded
         self.corrupt_lines = 0
         if cache_path:
@@ -192,8 +195,10 @@ class Sampler:
             lines = fh.read().splitlines()
         if not lines or not _is_header(lines[0]):
             return
-        # each point is stored once per n; its strings are parsed once
+        # each point is stored once per n; its strings are parsed once, and
+        # the orders n loaded are collected by its strings
         parsed: Dict[tuple, Params] = {}
+        orders: Dict[tuple, set] = {}
         for ln in filter(str.strip, lines[1:]):
             try:
                 rec = json.loads(ln)
@@ -202,9 +207,14 @@ class Sampler:
                 if params is None:
                     d, pi, kappa, b2 = raw
                     params = parsed[raw] = (Q(d), Q(pi), Q(kappa), int(b2))
-                self._mem[(int(rec["n"]), params)] = Q(rec["value"])
+                n = int(rec["n"])
+                self._mem[(n, params)] = Q(rec["value"])
             except (KeyError, TypeError, ValueError, ArithmeticError):
                 self.corrupt_lines += 1
+            else:
+                orders.setdefault(raw, set()).add(n)
+        for raw, ns in orders.items():
+            self._held[parsed[raw]] = next(k for k in itertools.count() if k not in ns)
 
     def _append(self, n: int, params: Params, value: Q) -> None:
         from . import ENGINE_VERSION
@@ -248,11 +258,7 @@ class Sampler:
         With ``jobs > 1`` and more than one point to compute, the chains
         run in a pool of at most one worker per point; else serially.
         """
-        tasks = [
-            (n_max, p)
-            for p in points
-            if any((j, p) not in self._mem for j in range(n_max + 1))
-        ]
+        tasks = [(n_max, p) for p in points if not self._holds(n_max, p)]
         if jobs > 1 and len(tasks) > 1:
             import multiprocessing
 
@@ -263,6 +269,18 @@ class Sampler:
         for params, values in results:
             for j, v in enumerate(values):
                 self.store(j, params, v)
+
+    def _holds(self, n_max: int, p: Params) -> bool:
+        """Whether N_0 .. N_n_max are all held at p.  The run of orders
+        held is remembered from the load and from earlier calls, so a warm
+        point costs one lookup, not one per order: each lookup hashes the
+        point's ``Fraction``s."""
+        k = old = self._held.get(p, 0)
+        while k <= n_max and (k, p) in self._mem:
+            k += 1
+        if k != old:
+            self._held[p] = k
+        return k > n_max
 
     def series(self, n_max: int, params: Params) -> List[Q]:
         self.fill(n_max, [params])

@@ -102,8 +102,9 @@ def _unit_vectors(basis, fields) -> Iterator[Tuple[Dict, dict]]:
 
 
 def _columns(eng: OperatorEngine) -> Dict[str, Tuple[Callable, int]]:
-    """The engine's column operators ``(col, den)``: ``col(n, sym, M)`` is
-    the image of the monomial M as integer numerators over ``den``."""
+    """The engine's column operators ``(col, den)``: ``col(n, sym, i)`` is
+    the image of the monomial of id i as integer numerators over ``den``,
+    keyed by monomial ids."""
     return {
         "q": (eng._q_mono, eng._qden),
         "L": (eng._L_mono, eng._Lden),
@@ -112,20 +113,24 @@ def _columns(eng: OperatorEngine) -> Dict[str, Tuple[Callable, int]]:
     }
 
 
-def _bracket(model, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
+def _bracket(eng, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
     """Cases of ``[A_n(a), B_m(b)] v = x B_(n+m)(ab) v + y v`` for n in ns
-    and m in ms, where a and b run over the basis classes of the model, ab
-    is their product and ``(x, y) = rhs(n, m, ab)`` are rationals.  A and B
-    are column operators ``(col, den)`` (see :func:`_columns`).
+    and m in ms, where a and b run over the basis classes of the engine's
+    model, ab is their product and ``(x, y) = rhs(n, m, ab)`` are
+    rationals.  A and B are column operators ``(col, den)`` of ``eng``
+    (see :func:`_columns`).
 
     ``vectors`` yields pairs ``(v, fields)`` with v a dict of integer
-    coefficients; the identity is linear in v, so this covers every
-    rational multiple of v.  A case is the residual, left side minus right
-    side, as integer numerators over one common denominator, and holds when
-    every numerator is zero; a counterexample is ``fields`` with n, m, a
-    and b added.  Each A_n(a) v and B_m(b) v is computed once per vector.
+    coefficients keyed by monomials, which is interned once into the
+    engine's monomial ids; the identity is linear in v, so this covers
+    every rational multiple of v.  A case is the residual, left side minus
+    right side, as integer numerators over one common denominator, and
+    holds when every numerator is zero; a counterexample is ``fields`` with
+    n, m, a and b added.  Each A_n(a) v and B_m(b) v is computed once per
+    vector.
     """
     (a_col, a_den), (b_col, b_den) = A, B
+    model, ids = eng.model, eng._ids
     syms = model.symbols
     # per case (n, m, a, b): the residual times a common denominator is
     # f [A, B] v - sum of f_s B_(n+m)(s) v - f_id v, all integers
@@ -138,6 +143,7 @@ def _bracket(model, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
         f_s = [(int(t * den), s) for t, s in terms if t]
         plan.append((n, m, sa, sb, den // (a_den * b_den), f_s, int(y * den)))
     for v, fields in vectors:
+        v = {ids[M]: c for M, c in v.items()}
         Av = {(n, sa): int_apply({}, partial(a_col, n, sa), v) for n in ns for sa in syms}
         Bv = {(m, sb): int_apply({}, partial(b_col, m, sb), v) for m in ms for sb in syms}
         for n, m, sa, sb, f, f_s, f_id in plan:
@@ -146,8 +152,8 @@ def _bracket(model, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
             for fb, s in f_s:
                 int_apply(res, partial(b_col, n + m, s), v, -fb)
             if f_id:
-                for M, c in v.items():
-                    res[M] = res.get(M, 0) - f_id * c
+                for i, c in v.items():
+                    res[i] = res.get(i, 0) - f_id * c
             yield any(res.values()), False, dict(fields, n=n, m=m, a=sa, b=sb)
 
 
@@ -173,7 +179,7 @@ def suite_oscillator(
 
         q = _columns(eng)["q"]
         vs = [(int_vec(v.terms)[0], {"model": mp}) for v in vectors]
-        yield from _bracket(model, vs, q, q, idx, idx, rhs)
+        yield from _bracket(eng, vs, q, q, idx, idx, rhs)
         # q_0 vanishes identically, here on the last basis vector
         z = eng.q(0, model.unit(), FockVector({basis[-1]: 1}))
         yield z, FockVector(), {"model": mp, "n": 0}
@@ -236,7 +242,7 @@ def suite_virasoro(
 
         for relation, B, bs, rhs in (("Lq", "q", ms, lq), ("LL", "L", ns, ll)):
             vs = _unit_vectors(basis, {"model": mp, "relation": relation})
-            yield from _bracket(model, vs, cols["L"], cols[B], ns, bs, rhs)
+            yield from _bracket(eng, vs, cols["L"], cols[B], ns, bs, rhs)
 
 
 # -- boundary derivative ---------------------------------------------------
@@ -270,7 +276,7 @@ def suite_derivative(
             return -n * m, -Q(n * m) * Q(abs(n) - 1, 2) * kab
 
         vs = _unit_vectors(chosen, {"model": mp})
-        yield from _bracket(model, vs, cols["q'"], cols["q"], idx, idx, rhs)
+        yield from _bracket(eng, vs, cols["q'"], cols["q"], idx, idx, rhs)
         # Leibniz rule for the boundary operator on a sample of products
         for _ in range(20):
             M = rng.choice(basis)
@@ -299,7 +305,7 @@ def suite_e_op(
 
         cols = _columns(eng)
         vs = _unit_vectors(fock.monomials(model, max_weight), {"model": mp})
-        yield from _bracket(model, vs, cols["e"], cols["q"], ns, ms, rhs)
+        yield from _bracket(eng, vs, cols["e"], cols["q"], ns, ms, rhs)
 
 
 # -- vertex integral -------------------------------------------------------

@@ -81,20 +81,21 @@ def test_pairing_is_the_annihilation_pairing():
         eng = OperatorEngine(model)
 
         @cache
-        def vacuum_coefficient(factors, N):
-            # over eng._qden ** len(factors), from the engine's q columns
+        def vacuum_coefficient(factors, i):
+            # over eng._qden ** len(factors), from the engine's q columns on
+            # the monomial of id i
             if not factors:
-                return int(N == ())
+                return int(eng._monos[i] == ())
             (n, s), rest = factors[0], factors[1:]
-            col = eng._q_mono(-n, s, N)
-            return sum(c * vacuum_coefficient(rest, N2) for N2, c in col.items())
+            col = eng._q_mono(-n, s, i)
+            return sum(c * vacuum_coefficient(rest, i2) for i2, c in col.items())
 
         basis = [(M, FockVector({M: 1})) for M in monomials(model, 4)]
         for M, v in basis:
             den = (-1) ** mono_weight(M) * eng._qden ** len(M)
             for N, w in basis:
                 got = pairing(v, w, model)
-                want = vacuum_coefficient(M, N) * got.denominator
+                want = vacuum_coefficient(M, eng._ids[N]) * got.denominator
                 assert got.numerator * den == want, (params, M, N)
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 from functools import cache, partial
+from itertools import groupby
 from math import factorial, gcd, lcm
 
 import pytest
@@ -16,7 +17,8 @@ from hilbfock.fock import (
     monomials,
 )
 from hilbfock.linear import axpy
-from hilbfock.operators import OperatorEngine, gen_binomial
+from hilbfock.operators import OperatorEngine, _without, gen_binomial
+from hilbfock.segre import minus_polarization
 from hilbfock.verify import (
     _random_vector,
     suite_derivative,
@@ -72,6 +74,11 @@ def _l_oracle(model, q, m, sym, M):
     return out
 
 
+def _column(eng, col, m, sym, M):
+    # an id-keyed column of the engine on the monomial M, keyed by monomials
+    return {eng._monos[N]: x for N, x in col(m, sym, eng._ids[M]).items()}
+
+
 @pytest.mark.parametrize(
     "params,dens", COLUMN_MODELS, ids=[",".join(map(str, p)) for p, _ in COLUMN_MODELS]
 )
@@ -86,7 +93,7 @@ def test_integer_columns_are_their_definitions(params, dens):
     seen = {"q": 1, "L": 1, "q'": 1}
 
     def check(name, col, den, m, sym, M, want):
-        got = col(m, sym, M)
+        got = _column(eng, col, m, sym, M)
         assert got.keys() == want.keys(), (name, params, m, sym, M)
         assert all(type(x) is int for x in got.values()), (name, params, m, sym, M)
         for N, x in got.items():
@@ -105,9 +112,92 @@ def test_integer_columns_are_their_definitions(params, dens):
                 for t, k in Ka.terms.items() if abs(m) > 1 else ():
                     axpy(want, q(m, t, M), Q(m * (abs(m) - 1), 2) * k)
                 check("q'", eng._qprime_mono, eng._Lden, m, sym, M, want)
-                assert all(type(x) is int for x in eng._e_mono(m, sym, M).values())
+                e_col = _column(eng, eng._e_mono, m, sym, M)
+                assert all(type(x) is int for x in e_col.values())
     assert eng._Lden == eng._den * eng._qden**2
     assert (seen["q"], seen["L"], seen["q'"]) == dens
+
+
+def _boundary_reference(eng, M):
+    """Reference fill: D on a monomial tuple by the cut-and-join formula
+    over the engine's integer tables, inserting each image's factors into
+    the tuple with ``mono_insert``; same tables as the id-keyed fill."""
+    groups = [(f, len(list(copies))) for f, copies in groupby(M)]
+    num = {}
+    for a, (f, m) in enumerate(groups):
+        n, s = f
+        rest = _without(M, f)
+        w = m * n
+        for c, s1, s2 in eng._cut[s]:
+            for nu in range(1, n):
+                N = mono_insert(mono_insert(rest, nu, s1), n - nu, s2)
+                num[N] = num.get(N, 0) + w * c
+        if n > 1:
+            for c, t in eng._kterm[s]:
+                N = mono_insert(rest, n, t)
+                num[N] = num.get(N, 0) + w * (n - 1) * c
+        joins = [(f, m * (m - 1) // 2)] if m > 1 else []
+        joins += [(g, m * m2) for g, m2 in groups[a + 1:]]
+        for (n2, s2), pairs in joins:
+            rest2 = _without(rest, (n2, s2))
+            for c, s1 in eng._join[s, s2]:
+                N = mono_insert(rest2, n + n2, s1)
+                num[N] = num.get(N, 0) - pairs * n * n2 * c
+    return {N: x for N, x in num.items() if x}
+
+
+def test_boundary_columns_match_the_tuple_reference():
+    # the id-keyed D columns, keyed back by monomials, on every monomial of
+    # weight <= 5
+    for params in ((1, 0, -1, 0), (2, 1, -1, 1)):
+        eng = OperatorEngine(new_model(*params))
+        for M in monomials(eng.model, 5):
+            col = eng._boundary_mono(eng._ids[M])
+            got = {eng._monos[N]: x for N, x in col.items()}
+            assert got == _boundary_reference(eng, M), (params, M)
+
+
+def test_monomial_table_round_trips():
+    # after a chain and every column family: id -> monomial -> id is the
+    # identity, no monomial is held twice, the degrees are the monomials'
+    # and each insertion table inserts its factor
+    model = new_model(2, 1, -1, 1)
+    eng = OperatorEngine(model)
+    v = eng.total_chern_classes(minus_polarization(model), 4)[3]
+    for sym in model.symbols:
+        a = CohClass({sym: 1})
+        for m in (-2, -1, 2):
+            eng.virasoro(m, a, v)
+            eng.q_derivative(m, 1, a, v)
+            eng.e_op(abs(m), a, v)
+    monos = eng._monos
+    assert len(eng._ids) == len(monos) == len(set(monos)) == len(eng._degs) > 100
+    assert all(eng._ids[M] == i for i, M in enumerate(monos))
+    assert len(eng._ids) == len(monos)  # the lookups interned nothing new
+    assert eng._degs == [mono_degree(M, model) for M in monos]
+    for (m, sym), table in eng._ins.items():
+        assert all(monos[j] == mono_insert(monos[i], m, sym) for i, j in table.items())
+
+
+def test_truncated_step_stores_no_heavier_column():
+    # the degree-d part of a step is formed without memoizing the D columns
+    # of weight w + 1 on a vector of weight w; a full step stores them, as
+    # the next step reads them
+    model = new_model(2, 1, -1, 1)
+    eng = OperatorEngine(model)
+    u = minus_polarization(model)
+    v = eng.total_chern_classes(u, 3)[3]
+    full = eng.big_c_apply(u, v)
+
+    def weights():
+        return {mono_weight(eng._monos[i]) for i in eng._b_cache}
+
+    assert max(weights()) == 4
+    eng = OperatorEngine(model)
+    v = eng.total_chern_classes(u, 3)[3]
+    for d in range(4, 17, 2):
+        assert eng.big_c_apply(u, v, d) == _degree_part(full, d, model)
+        assert max(weights()) == 3, d
 
 
 def test_boundary_kills_vacuum_and_weight_one(engine, model):
@@ -235,20 +325,26 @@ def test_derivative_of_vacuum_vanishes(engine, model):
 def test_second_derivative_recursion(engine, engine_b2):
     # the definition q_n^(nu+1) v = D q_n^(nu) v - q_n^(nu) D v, from Lehn's
     # first derivative up, on every basis class and monomial of weight
-    # w <= 3; nu runs past 2w + n + 1, the last order that can be nonzero
+    # w <= 3; nu runs past 2w + n + 1, the last order that can be nonzero.
+    # Every order comes from one q_derivatives call on v and one on D v,
+    # whose orders 0 and 1 must be q_n and Lehn's commutator rule
     for eng in (engine, engine_b2):
         model = eng.model
         for M in monomials(model, 3):
             v = FockVector({M: 1})
             dv = eng.boundary(v)
             for n in (-2, -1, 1, 2, 3):
+                top = 2 * mono_weight(M) + n + 3
                 for sym in model.symbols:
                     a = CohClass({sym: 1})
-                    cur = eng.q_derivative(n, 1, a, v)
-                    for nu in range(1, 2 * mono_weight(M) + n + 3):
-                        prev, cur = cur, eng.q_derivative(n, nu + 1, a, v)
-                        want = eng.boundary(prev) - eng.q_derivative(n, nu, a, dv)
-                        assert cur == want, (model, M, n, sym, nu)
+                    ders = eng.q_derivatives(n, top, a, v)
+                    ders_dv = eng.q_derivatives(n, top, a, dv)
+                    assert ders[0] == eng.q(n, a, v), (model, M, n, sym)
+                    assert ders[1] == eng.q_derivative(n, 1, a, v), (model, M, n, sym)
+                    assert ders_dv[1] == eng.q_derivative(n, 1, a, dv), (model, M, n, sym)
+                    for nu in range(1, top):
+                        want = eng.boundary(ders[nu]) - ders_dv[nu]
+                        assert ders[nu + 1] == want, (model, M, n, sym, nu)
 
 
 def test_derivative_bracket_suite_small():

@@ -229,6 +229,36 @@ def test_cache_file_round_trip(tmp_path):
     assert s2._mem[(2, (Q(1), Q(0), Q(-1), 0))] == Q(-2)
 
 
+def test_fill_computes_only_the_points_missing_an_order(tmp_path, monkeypatch):
+    # a point holding N_0..N_2 is complete up to 2 and one with a gap at
+    # N_1 is not, whether the sampler stored them or loaded them from a file
+    path = str(tmp_path / "cache.jsonl")
+    full, gap = (Q(1), Q(0), Q(-1), 0), (Q(2), Q(1), Q(-1), 0)
+    s1 = Sampler(path)
+    for n in range(3):
+        s1.store(n, full, Q(n))
+    for n in (0, 2):
+        s1.store(n, gap, Q(n))
+    computed = []
+
+    def worker(args):
+        computed.append(args)
+        return args[1], [Q(7)] * (args[0] + 1)
+
+    monkeypatch.setattr(segre, "_series_worker", worker)
+    for s in (s1, Sampler(path)):
+        computed.clear()
+        s.fill(2, [full, gap])
+        assert computed == [(2, gap)]
+        assert s.series(2, gap) == [Q(0), Q(7), Q(2)]
+        s.fill(2, [full, gap])
+        s.fill(1, [full, gap])
+        assert computed == [(2, gap)]
+        s.fill(3, [full])
+        assert computed == [(2, gap), (3, full)]
+        assert s.series(3, full) == [Q(0), Q(1), Q(2), Q(7)]
+
+
 def test_cache_version_mismatch_ignored(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     with open(path, "w") as fh:

@@ -30,8 +30,8 @@ def _wrong_at(method, index):
     """The column method of an operator, but doubled at one index.  The
     public operators and the bracket suites both read these columns."""
 
-    def wrong(self, m, sym, M):
-        out = method(self, m, sym, M)
+    def wrong(self, m, sym, i):
+        out = method(self, m, sym, i)
         return {N: 2 * x for N, x in out.items()} if m == index else out
 
     return wrong
