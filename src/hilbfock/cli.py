@@ -81,7 +81,9 @@ def _emit(command: str, parameters: dict, result, ok: bool = True) -> None:
 
 
 _BUNDLE_RE = re.compile(r"^(-?)L\(c1=([^)]*)\)$")
-_BUNDLE_K_RE = re.compile(r"^(-?)K\(rank=(-?\d+),c1=([^,)]*),c2=([^)]*)\)$")
+_BUNDLE_K_RE = re.compile(r"^(-?)K\(rank=(-?\d+),c1=([^,)]*),c2=([+-]?\d+(?:/\d+)?)\)$")
+# a space between two characters of a numeral, which deleting it would join
+_NUMERAL_GAP_RE = re.compile(r"[\d/]\s+[\d/]")
 
 
 def parse_bundle(text: str, model) -> KClassSpec:
@@ -89,8 +91,11 @@ def parse_bundle(text: str, model) -> KClassSpec:
 
     On the command line a negated literal must be joined to its option,
     ``--bundle=-L(c1=2h-k)``: argparse reads a separate value that starts
-    with ``-`` as an option.
+    with ``-`` as an option.  Spaces are ignored, except inside a numeral:
+    ``L(c1=1 0h)`` is malformed.
     """
+    if _NUMERAL_GAP_RE.search(text):
+        raise UsageError("space inside a numeral in bundle literal: %r" % text)
     text = text.strip().replace(" ", "")
     m = _BUNDLE_RE.match(text)
     if m:
@@ -100,7 +105,7 @@ def parse_bundle(text: str, model) -> KClassSpec:
     if m:
         c1 = parse_class(m.group(3), model)
         try:
-            c2 = CohClass({"pt": Q(m.group(4) or 0)})
+            c2 = CohClass({"pt": Q(m.group(4))})
         except ZeroDivisionError:
             raise UsageError("zero denominator in bundle literal: %r" % text) from None
         u = KClassSpec(int(m.group(2)), c1, c2)

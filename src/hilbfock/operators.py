@@ -28,20 +28,22 @@ L_n(a) is the normal-ordered pair sum of c q_(n-mu)(s') q_mu(s'') over
 mu = n-mu.  The truncated quadratic operator e_n is minus its pairs with
 mu < 0, the ones that hold an annihilator.
 
-An :class:`OperatorEngine` instance owns one monomial table and per-model
-memoization caches.  The table gives each monomial it meets a small integer
-id, once, and keeps the reverse lists id -> monomial and id -> degree; a
-creation factor q_m(sym) is an id -> id table filled on demand, so no
-monomial tuple is hashed or rebuilt twice.  Every memo and every integer
-vector inside the engine is keyed by these ids: the oscillators, Virasoro
-operators, first derivatives and the boundary operator are memoized
-monomial by monomial as integer columns, numerators over one denominator
-per family, the one each formula implies.  With ``_qden`` the lcm of the
-denominators of the pairings <s, t> and ``_den`` the model denominator of
-D, a q column is over ``_qden``, and the L, e and q' columns, built from a
-cut-table entry c/2 and two oscillators, are over ``_Lden = _den *
-_qden**2``.  Monomial tuples and ``Fraction``s appear only at the public
-operators, which convert a :class:`FockVector` in and out once per call.
+An :class:`OperatorEngine` instance owns one monomial table and the column
+tables of the operators.  The monomial table gives each monomial it meets a
+small integer id, once, and keeps the reverse lists id -> monomial and id ->
+degree; a creation factor q_m(sym) is an id -> id table filled on demand,
+so no monomial tuple is hashed or rebuilt twice.  The oscillators q,
+Virasoro operators L, truncated operators e and first derivatives q' are
+families of tables, and ``fam[m, sym][i]`` is the image of the monomial of
+id i, an integer column keyed by ids that a module fill function computes
+on the first lookup; the boundary columns D are one table keyed by id.  A
+column holds numerators over the one denominator its formula implies.
+With ``_qden`` the lcm of the denominators of the pairings <s, t> and
+``_den`` the model denominator of D, a q column is over ``_qden``, and the
+L, e and q' columns, built from a cut-table entry c/2 and two oscillators,
+are over ``_Lden = _den * _qden**2``.  Monomial tuples and ``Fraction``s
+appear only at the public operators, which convert a :class:`FockVector`
+in and out once per call.
 The higher derivatives ad^nu(q_n) and the Chern class operators act on
 whole vectors through one integer kernel, :meth:`OperatorEngine._ad_series`,
 which can form the part of one degree alone; the top Segre numbers use
@@ -54,7 +56,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import groupby
 from math import comb, factorial, inf, lcm
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .fock import FockVector, Monomial, mono_degree, mono_insert, mono_weight, vacuum
 from .linear import IntVec, axpy, int_apply, int_combine, int_reduce, int_vec
@@ -103,6 +105,20 @@ class _Table(dict):
         return v
 
 
+class _Family(_Table):
+    """One column table per (index, symbol): ``fam[m, sym][i]`` is
+    ``fill(m, sym, i)``, filled on the first lookup and kept.  Its len() is
+    the number of columns held."""
+
+    __slots__ = ()
+
+    def __init__(self, fill: Callable):
+        super().__init__(lambda k: _Table(partial(fill, *k)))
+
+    def __len__(self):
+        return sum(map(len, self.values()))
+
+
 def _boundary_tables(model: SurfaceModel):
     """The cut, join and K tables of D, as integers over one denominator.
 
@@ -134,6 +150,99 @@ def _boundary_tables(model: SurfaceModel):
     return den, *({k: scaled(row) for k, row in t.items()} for t in tables)
 
 
+# -- column fills: the engine binds the tables, then (index, symbol), id ----
+
+def _q_column(ids, monos, ins, pair, qden, m: int, sym: str, i: int) -> Column:
+    """q_m(sym) on the monomial of id i, over qden: for m = -n < 0,
+    removing a factor q_n(s) contributes -n <sym, s>; q_0 is zero."""
+    if m > 0:
+        return {ins[m, sym][i]: qden}
+    M = monos[i]
+    out: Column = {}
+    for j, (k, s) in enumerate(M):
+        c = pair[sym, s]
+        if k == -m and c:
+            N = ids[M[:j] + M[j + 1:]]
+            out[N] = out.get(N, 0) + m * c
+    return out
+
+
+def _pairs(q: _Family, cut, monos, sign: int, m: int, sym: str, i: int) -> Column:
+    """L_m(sym) M for sign 1, or e_m(sym) M for sign -1, over _Lden, for M
+    of id i: the pairs q_(m-mu)(s') q_mu(s'') M with mu <= m // 2, each
+    unordered pair once as delta is symmetric, or minus those with mu < 0,
+    the ones that hold an annihilator.  The cut table of D holds c/2 for
+    (c, s', s'') in delta over _den, and each oscillator is over _qden."""
+    raw: Column = {}
+    low = -mono_weight(monos[i])
+    top = m // 2 if sign > 0 else min(-1, m // 2)
+    for c, s1, s2 in cut[sym]:
+        for mu in range(low, top + 1):
+            nu = m - mu
+            if mu and nu:
+                t = q[mu, s2][i]
+                if t:
+                    int_apply(raw, q[nu, s1].__getitem__, t, sign * (c if nu == mu else 2 * c))
+    return {N: x for N, x in raw.items() if x}
+
+
+def _qprime_column(q, L, kterm, qden, n: int, sym: str, i: int) -> Column:
+    """q'_n(sym) M = n L_n(sym) M + n(|n|-1)/2 k q_n(t) M, K.sym = k t,
+    over _Lden; the K table of D holds k/2 over _den."""
+    raw = {N: n * x for N, x in L[n, sym][i].items()}
+    for k, t in kterm[sym] if abs(n) > 1 else ():
+        f = n * (abs(n) - 1) * k * qden
+        for N, y in q[n, t][i].items():
+            raw[N] = raw.get(N, 0) + f * y
+    return {N: x for N, x in raw.items() if x}
+
+
+def _boundary_column(ids, monos, ins, cut, join, kterm, i: int) -> Column:
+    """D on the monomial of id i by the cut-and-join formula of the module
+    docstring, as integer numerators over the model denominator.
+
+    Equal factors are taken together: a factor q_n(s) of multiplicity m
+    cuts into q_nu(s') q_(n-nu)(s'') with weight m * n * c/2 for each
+    (c, s', s'') in delta(s) and 0 < nu < n, turns into q_n(t) with weight
+    m * n(n-1)/2 * k for K.s = k t, and joins each later factor q_n2(s2),
+    and each other copy of itself, into q_(n+n2)(s') with weight
+    -n * n2 * c <s'', s2>.  Each image is an insertion into the monomial
+    without the factors used up.  No other column family is read.
+    """
+    M = monos[i]
+    groups = [(f, len(list(copies))) for f, copies in groupby(M)]
+    num: Column = {}
+    get = num.get
+    for a, (f, m) in enumerate(groups):
+        n, s = f
+        rest = _without(M, f)
+        r = ids[rest]
+        w = m * n
+        for c, s1, s2 in cut[s]:
+            for nu in range(1, n):
+                N = ins[n - nu, s2][ins[nu, s1][r]]
+                num[N] = get(N, 0) + w * c
+        if n > 1:
+            for c, t in kterm[s]:
+                N = ins[n, t][r]
+                num[N] = get(N, 0) + w * (n - 1) * c
+        joins = [(f, m * (m - 1) // 2)] if m > 1 else []
+        joins += [(g, m * m2) for g, m2 in groups[a + 1:]]
+        for (n2, s2), pairs in joins:
+            r2 = ids[_without(rest, (n2, s2))]
+            w2 = -pairs * n * n2
+            for c, s1 in join[s, s2]:
+                N = ins[n + n2, s1][r2]
+                num[N] = get(N, 0) + w2 * c
+    return {N: x for N, x in num.items() if x}
+
+
+def _mat_vec(column: Callable[[int], Column], den: int, v: IntVec) -> IntVec:
+    """The operator with the given integer columns over ``den`` on v."""
+    num, vden = v
+    return int_reduce(int_apply({}, column, num), vden * den)
+
+
 class OperatorEngine:
     """Memoizing calculator for the operator calculus over one surface model."""
 
@@ -142,8 +251,8 @@ class OperatorEngine:
         # the monomial table: _ids[M] is the id of M, interned on first
         # lookup, and _monos[i], _degs[i] the monomial and degree of id i;
         # _ins[m, sym][i] is the id of q_m(sym) M_i for m >= 1.  The tables
-        # hold the lists, not the engine, so an engine is freed on its last
-        # reference.
+        # and the column fills hold the lists and each other, never the
+        # engine, so an engine is freed on its last reference.
         monos: List[Monomial] = []
         degs: List[int] = []
 
@@ -154,22 +263,23 @@ class OperatorEngine:
 
         ids = self._ids = _Table(intern)
         self._monos, self._degs = monos, degs
-        self._ins = _Table(lambda f: _Table(lambda i: ids[mono_insert(monos[i], *f)]))
-        # q, L, q' and D columns by (index, symbol, id) or id, numerators
-        # over _qden, _Lden, _Lden and _den
-        self._q_cache: Dict[Tuple[int, str, int], Column] = {}
-        self._L_cache: Dict[Tuple[int, str, int], Column] = {}
-        self._qp_cache: Dict[Tuple[int, str, int], Column] = {}
-        self._b_cache: Dict[int, Column] = {}
-        # Always empty: higher derivatives are not memoized per monomial. It
-        # stays because perfbench/probes.py reads every cache attribute.
-        self._qd_cache: Dict[Tuple[int, int, str, int], Column] = {}
+        ins = self._ins = _Table(lambda f: _Table(lambda i: ids[mono_insert(monos[i], *f)]))
         self._den, self._cut, self._join, self._kterm = _boundary_tables(model)
         syms = model.symbols
         self._pair, self._qden = int_vec(
             {(s, t): model.pair_sym(s, t) for s in syms for t in syms}
         )
         self._Lden = self._den * self._qden**2
+        # the column tables, over _qden (q), _Lden (L, e, q') and _den (D)
+        cut, kterm = self._cut, self._kterm
+        q = self._q_cache = _Family(partial(_q_column, ids, monos, ins, self._pair, self._qden))
+        L = self._L_cache = _Family(partial(_pairs, q, cut, monos, 1))
+        self._e_cache = _Family(partial(_pairs, q, cut, monos, -1))
+        self._qp_cache = _Family(partial(_qprime_column, q, L, kterm, self._qden))
+        self._b_cache = _Table(partial(_boundary_column, ids, monos, ins, cut, self._join, kterm))
+        # Always empty: higher derivatives are not memoized per monomial. It
+        # stays because perfbench/probes.py reads every cache attribute.
+        self._qd_cache: Dict[Tuple[int, int, str, int], Column] = {}
 
     # -- conversion at the public operators --------------------------------
 
@@ -188,41 +298,17 @@ class OperatorEngine:
         monos = self._monos
         return FockVector({monos[i]: Q(x, den) for i, x in num.items()})
 
-    def _fock(self, images: Iterable[Tuple[Q, Column]], den: int) -> FockVector:
-        """The sum of c * column / den over ``(c, column)`` in ``images``."""
-        return self._out(int_combine((c, (col, den)) for c, col in images))
-
-    def _apply(self, col: Callable, den: int, m: int, a: CohClass, v: FockVector) -> FockVector:
-        """The column operator ``col(m, sym, i) / den``, extended bilinearly."""
-        terms = self._terms(v)
-        return self._fock(
-            ((ca * c, col(m, sym, i)) for sym, ca in a.terms.items() for i, c in terms),
-            den,
+    def _apply(self, fam: _Family, den: int, m: int, a: CohClass, v: FockVector) -> FockVector:
+        """The column family ``fam[m, sym] / den``, extended bilinearly."""
+        w = self._in(v)
+        return self._out(
+            int_combine((c, _mat_vec(fam[m, sym].__getitem__, den, w)) for sym, c in a.terms.items())
         )
 
-    # -- oscillators -------------------------------------------------------
-
-    def _q_mono(self, m: int, sym: str, i: int) -> Column:
-        """q_m(sym) on the monomial of id i, over _qden: for m = -n < 0,
-        removing a factor q_n(s) contributes -n <sym, s>; q_0 is zero."""
-        key = (m, sym, i)
-        out = self._q_cache.get(key)
-        if out is None:
-            if m > 0:
-                out = {self._ins[m, sym][i]: self._qden}
-            else:
-                M, ids = self._monos[i], self._ids
-                out = {}
-                for j, (k, s) in enumerate(M):
-                    c = self._pair[sym, s]
-                    if k == -m and c:
-                        N = ids[M[:j] + M[j + 1:]]
-                        out[N] = out.get(N, 0) + m * c
-            self._q_cache[key] = out
-        return out
+    # -- the column operators ---------------------------------------------
 
     def q(self, m: int, a: CohClass, v: FockVector) -> FockVector:
-        return self._apply(self._q_mono, self._qden, m, a, v)
+        return self._apply(self._q_cache, self._qden, m, a, v)
 
     def _q_int(self, m: int, sym: str, v: IntVec) -> IntVec:
         """q_m(sym) on an integer vector: for m >= 1 a relabelling."""
@@ -230,114 +316,16 @@ class OperatorEngine:
         if m > 0:
             ins = self._ins[m, sym]
             return {ins[i]: c for i, c in num.items()}, den
-        return int_reduce(int_apply({}, partial(self._q_mono, m, sym), num), den * self._qden)
-
-    # -- Virasoro operators ------------------------------------------------
-
-    def _pairs(self, m: int, sym: str, i: int, top: int) -> Column:
-        """The pairs q_(m-mu)(s') q_mu(s'') M of L_m(sym) M with mu <= ``top``,
-        over _Lden, for M of id i; for top <= m // 2 each unordered pair
-        once, as delta is symmetric.  The cut table of D holds c/2 for
-        (c, s', s'') in delta over _den, and each oscillator is over _qden."""
-        raw: Column = {}
-        low = -mono_weight(self._monos[i])
-        for c, s1, s2 in self._cut[sym]:
-            for mu in range(low, top + 1):
-                nu = m - mu
-                if mu and nu:
-                    t = self._q_mono(mu, s2, i)
-                    if t:
-                        int_apply(raw, partial(self._q_mono, nu, s1), t, c if nu == mu else 2 * c)
-        return {N: x for N, x in raw.items() if x}
-
-    def _L_mono(self, m: int, sym: str, i: int) -> Column:
-        key = (m, sym, i)
-        out = self._L_cache.get(key)
-        if out is None:
-            out = self._L_cache[key] = self._pairs(m, sym, i, m // 2)
-        return out
-
-    def _e_mono(self, n: int, sym: str, i: int) -> Column:
-        """e_n(sym) M over _Lden: minus the pairs of L_n that hold an annihilator."""
-        return {N: -x for N, x in self._pairs(n, sym, i, min(-1, n // 2)).items()}
+        return _mat_vec(self._q_cache[m, sym].__getitem__, self._qden, v)
 
     def virasoro(self, m: int, a: CohClass, v: FockVector) -> FockVector:
-        return self._apply(self._L_mono, self._Lden, m, a, v)
+        return self._apply(self._L_cache, self._Lden, m, a, v)
 
     def e_op(self, n: int, a: CohClass, v: FockVector) -> FockVector:
-        return self._apply(self._e_mono, self._Lden, n, a, v)
-
-    # -- boundary operator and derivatives ---------------------------------
-
-    def _qprime_mono(self, n: int, sym: str, i: int) -> Column:
-        """q'_n(sym) M = n L_n(sym) M + n(|n|-1)/2 k q_n(t) M, K.sym = k t,
-        over _Lden; the K table of D holds k/2 over _den."""
-        key = (n, sym, i)
-        out = self._qp_cache.get(key)
-        if out is None:
-            raw = {N: n * x for N, x in self._L_mono(n, sym, i).items()}
-            for k, t in self._kterm[sym] if abs(n) > 1 else ():
-                f = n * (abs(n) - 1) * k * self._qden
-                for N, y in self._q_mono(n, t, i).items():
-                    raw[N] = raw.get(N, 0) + f * y
-            out = self._qp_cache[key] = {N: x for N, x in raw.items() if x}
-        return out
-
-    def _boundary_mono(self, i: int, store: bool = True) -> Column:
-        """D on the monomial of id i by the cut-and-join formula of the
-        module docstring, as integer numerators over the model denominator;
-        memoized unless ``store`` is false.
-
-        Equal factors are taken together: a factor q_n(s) of multiplicity m
-        cuts into q_nu(s') q_(n-nu)(s'') with weight m * n * c/2 for each
-        (c, s', s'') in delta(s) and 0 < nu < n, turns into q_n(t) with
-        weight m * n(n-1)/2 * k for K.s = k t, and joins each later factor
-        q_n2(s2), and each other copy of itself, into q_(n+n2)(s') with
-        weight -n * n2 * c <s'', s2>.  Each image is an insertion into the
-        monomial without the factors used up.  No other memo is read.
-        """
-        out = self._b_cache.get(i)
-        if out is not None:
-            return out
-        M, ids, ins = self._monos[i], self._ids, self._ins
-        groups = [(f, len(list(copies))) for f, copies in groupby(M)]
-        num: Column = {}
-        get = num.get
-        for a, (f, m) in enumerate(groups):
-            n, s = f
-            rest = _without(M, f)
-            r = ids[rest]
-            w = m * n
-            for c, s1, s2 in self._cut[s]:
-                for nu in range(1, n):
-                    N = ins[n - nu, s2][ins[nu, s1][r]]
-                    num[N] = get(N, 0) + w * c
-            if n > 1:
-                for c, t in self._kterm[s]:
-                    N = ins[n, t][r]
-                    num[N] = get(N, 0) + w * (n - 1) * c
-            joins = [(f, m * (m - 1) // 2)] if m > 1 else []
-            joins += [(g, m * m2) for g, m2 in groups[a + 1:]]
-            for (n2, s2), pairs in joins:
-                r2 = ids[_without(rest, (n2, s2))]
-                w2 = -pairs * n * n2
-                for c, s1 in self._join[s, s2]:
-                    N = ins[n + n2, s1][r2]
-                    num[N] = get(N, 0) + w2 * c
-        out = {N: x for N, x in num.items() if x}
-        if store:
-            self._b_cache[i] = out
-        return out
-
-    def _boundary_int(self, v: IntVec, store: bool = True) -> IntVec:
-        """The boundary operator on an integer vector, exactly; the columns
-        it fills are memoized unless ``store`` is false."""
-        num, den = v
-        col = self._boundary_mono if store else partial(self._boundary_mono, store=False)
-        return int_reduce(int_apply({}, col, num), den * self._den)
+        return self._apply(self._e_cache, self._Lden, n, a, v)
 
     def boundary(self, v: FockVector) -> FockVector:
-        return self._fock(((c, self._boundary_mono(i)) for i, c in self._terms(v)), self._den)
+        return self._out(_mat_vec(self._b_cache.__getitem__, self._den, self._in(v)))
 
     # -- derivatives: one whole-vector kernel ------------------------------
 
@@ -391,6 +379,8 @@ class OperatorEngine:
                 rows.append((row, cls))
         nu_last = max((len(row) for row, _ in rows), default=0) - 1
         cap = inf if degree is None else degree - (2 * n - 2)
+        b = self._b_cache
+        last = b.__getitem__ if degree is None else b.fill
         # powers[j][e] is the degree-e part of D^j v
         split: Dict[int, Column] = {}
         for i, c in num.items():
@@ -402,7 +392,7 @@ class OperatorEngine:
             nxt = {}
             for e, part in powers[-1].items():
                 if e + 2 <= cap:
-                    p = self._boundary_int(part)
+                    p = _mat_vec(b.__getitem__, self._den, part)
                     if p[0]:
                         nxt[e + 2] = p
             if not nxt:
@@ -425,7 +415,7 @@ class OperatorEngine:
                     for sym, cc in cls.items():
                         key = (sym, j)
                         coeffs[key] = coeffs.get(key, 0) + f * cc
-            parts = [(Q(1), self._boundary_int(acc, store=degree is None))]
+            parts = [(Q(1), _mat_vec(last, self._den, acc))]
             for (sym, j), f in coeffs.items():
                 if degree is None:
                     ds = powers[j]
@@ -490,7 +480,7 @@ class OperatorEngine:
         if order == 0:
             return self.q(n, a, v)
         if order == 1:
-            return self._apply(self._qprime_mono, self._Lden, n, a, v)
+            return self._apply(self._qp_cache, self._Lden, n, a, v)
         return self.q_derivatives(n, order, a, v)[order]
 
     # -- Chern class operators ---------------------------------------------

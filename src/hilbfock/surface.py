@@ -53,7 +53,7 @@ _SYM = r"1|h|k|pt|u\d+"
 
 # a ``*`` needs a coefficient before it and a symbol after it
 _TERM_RE = re.compile(
-    r"([+-]?)\s*(?:(\d+(?:/\d+)?)(?:\s*\*(?=\s*(?:%s)))?)?\s*(%s)?\s*" % (_SYM, _SYM)
+    r"([+-]?)\s*(?:(\d+(?:/\d+)?)(\s*\*(?=\s*(?:%s)))?)?\s*(%s)?\s*" % (_SYM, _SYM)
 )
 
 
@@ -61,7 +61,8 @@ def parse_class(text: str, model: "SurfaceModel") -> CohClass:
     """Parse a class expression such as ``2h-k`` or ``1-h+1/2*pt``.
 
     Every term after the first needs its sign: ``hk`` and ``2 3`` are
-    malformed, not sums.
+    malformed, not sums.  The symbol ``1`` after a coefficient needs a
+    ``*``: ``2*1`` is 2, ``21`` is 21 and ``2 1`` is malformed.
     """
     data: Dict[str, Q] = {}
     pos = 0
@@ -69,20 +70,20 @@ def parse_class(text: str, model: "SurfaceModel") -> CohClass:
     if not text:
         raise ValueError("empty class expression")
     while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or (m.group(2) is None and m.group(3) is None) or (pos and not m.group(1)):
+        m = _TERM_RE.match(text, pos)  # every part is optional: it always matches
+        sign, num, star, sym = m.groups()
+        if (num is None and sym is None) or (pos and not sign) or (num and sym == "1" and not star):
             raise ValueError("malformed class expression: %r" % text)
-        sign = -1 if m.group(1) == "-" else 1
         try:
-            coeff = Q(m.group(2)) if m.group(2) else Q(1)
+            coeff = Q(num) if num else Q(1)
         except ZeroDivisionError:
             raise ValueError(
                 "zero denominator in class expression: %r" % text
             ) from None
-        sym = m.group(3) or "1"
+        sym = sym or "1"
         if sym not in model.symbols:
             raise ValueError("unknown symbol %r for this model" % sym)
-        data[sym] = data.get(sym, Q(0)) + sign * coeff
+        data[sym] = data.get(sym, Q(0)) + (-coeff if sign == "-" else coeff)
         pos = m.end()
     return CohClass(data)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import partial, wraps
+from functools import wraps
 from itertools import product
 from math import comb, factorial, lcm
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
@@ -101,15 +101,15 @@ def _unit_vectors(basis, fields) -> Iterator[Tuple[Dict, dict]]:
         yield {M: 1}, dict(fields, monomial=list(M))
 
 
-def _columns(eng: OperatorEngine) -> Dict[str, Tuple[Callable, int]]:
-    """The engine's column operators ``(col, den)``: ``col(n, sym, i)`` is
+def _columns(eng: OperatorEngine) -> Dict[str, Tuple[Dict, int]]:
+    """The engine's column families ``(fam, den)``: ``fam[n, sym][i]`` is
     the image of the monomial of id i as integer numerators over ``den``,
     keyed by monomial ids."""
     return {
-        "q": (eng._q_mono, eng._qden),
-        "L": (eng._L_mono, eng._Lden),
-        "e": (eng._e_mono, eng._Lden),
-        "q'": (eng._qprime_mono, eng._Lden),
+        "q": (eng._q_cache, eng._qden),
+        "L": (eng._L_cache, eng._Lden),
+        "e": (eng._e_cache, eng._Lden),
+        "q'": (eng._qp_cache, eng._Lden),
     }
 
 
@@ -117,7 +117,7 @@ def _bracket(eng, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
     """Cases of ``[A_n(a), B_m(b)] v = x B_(n+m)(ab) v + y v`` for n in ns
     and m in ms, where a and b run over the basis classes of the engine's
     model, ab is their product and ``(x, y) = rhs(n, m, ab)`` are
-    rationals.  A and B are column operators ``(col, den)`` of ``eng``
+    rationals.  A and B are column families ``(fam, den)`` of ``eng``
     (see :func:`_columns`).
 
     ``vectors`` yields pairs ``(v, fields)`` with v a dict of integer
@@ -129,7 +129,7 @@ def _bracket(eng, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
     n, m, a and b added.  Each A_n(a) v and B_m(b) v is computed once per
     vector.
     """
-    (a_col, a_den), (b_col, b_den) = A, B
+    (a_fam, a_den), (b_fam, b_den) = A, B
     model, ids = eng.model, eng._ids
     syms = model.symbols
     # per case (n, m, a, b): the residual times a common denominator is
@@ -144,13 +144,13 @@ def _bracket(eng, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
         plan.append((n, m, sa, sb, den // (a_den * b_den), f_s, int(y * den)))
     for v, fields in vectors:
         v = {ids[M]: c for M, c in v.items()}
-        Av = {(n, sa): int_apply({}, partial(a_col, n, sa), v) for n in ns for sa in syms}
-        Bv = {(m, sb): int_apply({}, partial(b_col, m, sb), v) for m in ms for sb in syms}
+        Av = {(n, sa): int_apply({}, a_fam[n, sa].__getitem__, v) for n in ns for sa in syms}
+        Bv = {(m, sb): int_apply({}, b_fam[m, sb].__getitem__, v) for m in ms for sb in syms}
         for n, m, sa, sb, f, f_s, f_id in plan:
-            res = int_apply({}, partial(a_col, n, sa), Bv[m, sb], f)
-            int_apply(res, partial(b_col, m, sb), Av[n, sa], -f)
+            res = int_apply({}, a_fam[n, sa].__getitem__, Bv[m, sb], f)
+            int_apply(res, b_fam[m, sb].__getitem__, Av[n, sa], -f)
             for fb, s in f_s:
-                int_apply(res, partial(b_col, n + m, s), v, -fb)
+                int_apply(res, b_fam[n + m, s].__getitem__, v, -fb)
             if f_id:
                 for i, c in v.items():
                     res[i] = res.get(i, 0) - f_id * c

@@ -1,13 +1,17 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hilbfock import ENGINE_VERSION, cli, segre
+from hilbfock import ENGINE_VERSION, cli, new_model, segre
 from hilbfock.cli import main, parse_bundle
 from hilbfock.segre import KNOWN_DM, UnivPoly
-from hilbfock.surface import CohClass
+from hilbfock.surface import CohClass, parse_class, render_class
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +137,12 @@ def test_chern_line_bundle(capsys):
         "L(c1=2h3k)",
         "L(c1=h+2*)",
         "L(c1=h+*k)",
+        "L(c1=1 0h)",
+        "K(rank=2,c1=h,c2=3 1)",
+        "K(rank=2,c1=h,c2=0 1)",
+        "K(rank=2,c1=h,c2=1e3)",
+        "K(rank=2,c1=h,c2=0.5)",
+        "K(rank=2,c1=h,c2=)",
     ],
     ids=[
         "unclosed",
@@ -142,12 +152,52 @@ def test_chern_line_bundle(capsys):
         "coefficients-without-sign",
         "star-without-symbol",
         "star-without-coefficient",
+        "space-in-c1-numeral",
+        "space-in-c2-numeral",
+        "space-after-zero-c2",
+        "exponent-c2",
+        "decimal-c2",
+        "empty-c2",
     ],
 )
 def test_chern_malformed_bundle(capsys, bundle):
     code, out = run_cli(capsys, "chern", "--n", "1", "--bundle", bundle)
     assert code == 2
     assert out == ""
+
+
+#: strings over the class alphabet of the b2 = 1 model: numerals, signs,
+#: stars, spaces and the symbols
+_CLASS_TEXT = st.lists(
+    st.sampled_from(list("0123456789/*+- ") + ["h", "k", "pt", "u1"]), max_size=12
+).map("".join)
+_B2_MODEL = new_model(2, 1, -1, 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CLASS_TEXT)
+def test_accepted_classes_round_trip(text):
+    try:
+        c = parse_class(text, _B2_MODEL)
+    except ValueError:
+        return
+    assert parse_class(render_class(c), _B2_MODEL) == c
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["L(c1=%s)", "K(rank=2,c1=h,c2=%s)", "K(rank=%s,c1=h,c2=1)"]),
+    _CLASS_TEXT,
+    st.sampled_from("0123456789"),
+    st.text(" ", min_size=1, max_size=3),
+    st.sampled_from("0123456789"),
+    _CLASS_TEXT,
+)
+def test_space_between_digits_is_refused(literal, head, d1, gap, d2, tail):
+    bundle = literal % (head + d1 + gap + d2 + tail)
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["chern", "--n", "1", "--bundle", bundle])
+    assert (code, out.getvalue()) == (2, ""), bundle
 
 
 def test_parse_bundle(model):

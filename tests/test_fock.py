@@ -87,7 +87,7 @@ def test_pairing_is_the_annihilation_pairing():
             if not factors:
                 return int(eng._monos[i] == ())
             (n, s), rest = factors[0], factors[1:]
-            col = eng._q_mono(-n, s, i)
+            col = eng._q_cache[-n, s][i]
             return sum(c * vacuum_coefficient(rest, i2) for i2, c in col.items())
 
         basis = [(M, FockVector({M: 1})) for M in monomials(model, 4)]

@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as Q
 from functools import cache, partial
 from itertools import groupby
 from math import factorial, gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -74,9 +77,9 @@ def _l_oracle(model, q, m, sym, M):
     return out
 
 
-def _column(eng, col, m, sym, M):
+def _column(eng, fam, m, sym, M):
     # an id-keyed column of the engine on the monomial M, keyed by monomials
-    return {eng._monos[N]: x for N, x in col(m, sym, eng._ids[M]).items()}
+    return {eng._monos[N]: x for N, x in fam[m, sym][eng._ids[M]].items()}
 
 
 @pytest.mark.parametrize(
@@ -92,8 +95,8 @@ def test_integer_columns_are_their_definitions(params, dens):
     q = cache(partial(_q_oracle, model))
     seen = {"q": 1, "L": 1, "q'": 1}
 
-    def check(name, col, den, m, sym, M, want):
-        got = _column(eng, col, m, sym, M)
+    def check(name, fam, den, m, sym, M, want):
+        got = _column(eng, fam, m, sym, M)
         assert got.keys() == want.keys(), (name, params, m, sym, M)
         assert all(type(x) is int for x in got.values()), (name, params, m, sym, M)
         for N, x in got.items():
@@ -105,14 +108,14 @@ def test_integer_columns_are_their_definitions(params, dens):
         for sym in model.symbols:
             Ka = model.mul(K, CohClass({sym: 1}))
             for m in range(-5, 6):
-                check("q", eng._q_mono, eng._qden, m, sym, M, q(m, sym, M))
+                check("q", eng._q_cache, eng._qden, m, sym, M, q(m, sym, M))
                 want_L = _l_oracle(model, q, m, sym, M)
-                check("L", eng._L_mono, eng._Lden, m, sym, M, want_L)
+                check("L", eng._L_cache, eng._Lden, m, sym, M, want_L)
                 want = {N: m * x for N, x in want_L.items() if m}
                 for t, k in Ka.terms.items() if abs(m) > 1 else ():
                     axpy(want, q(m, t, M), Q(m * (abs(m) - 1), 2) * k)
-                check("q'", eng._qprime_mono, eng._Lden, m, sym, M, want)
-                e_col = _column(eng, eng._e_mono, m, sym, M)
+                check("q'", eng._qp_cache, eng._Lden, m, sym, M, want)
+                e_col = _column(eng, eng._e_cache, m, sym, M)
                 assert all(type(x) is int for x in e_col.values())
     assert eng._Lden == eng._den * eng._qden**2
     assert (seen["q"], seen["L"], seen["q'"]) == dens
@@ -152,7 +155,7 @@ def test_boundary_columns_match_the_tuple_reference():
     for params in ((1, 0, -1, 0), (2, 1, -1, 1)):
         eng = OperatorEngine(new_model(*params))
         for M in monomials(eng.model, 5):
-            col = eng._boundary_mono(eng._ids[M])
+            col = eng._b_cache[eng._ids[M]]
             got = {eng._monos[N]: x for N, x in col.items()}
             assert got == _boundary_reference(eng, M), (params, M)
 
@@ -177,6 +180,60 @@ def test_monomial_table_round_trips():
     assert eng._degs == [mono_degree(M, model) for M in monos]
     for (m, sym), table in eng._ins.items():
         assert all(monos[j] == mono_insert(monos[i], m, sym) for i, j in table.items())
+
+
+def test_engine_is_freed_by_reference_counting():
+    # the column fills hold the engine's tables, never the engine: with the
+    # cycle collector off, an engine with every family filled dies on del
+    model = new_model(2, 1, -1, 1)
+    gc.disable()
+    try:
+        eng = OperatorEngine(model)
+        v = eng.total_chern_classes(minus_polarization(model), 4)[4]
+        a = model.h_class()
+        eng.q(-2, a, v)
+        eng.virasoro(1, a, v)
+        eng.e_op(1, a, v)
+        eng.q_derivative(2, 1, a, v)
+        eng.boundary(v)
+        families = ("_q_cache", "_L_cache", "_e_cache", "_qp_cache", "_b_cache")
+        assert all(len(getattr(eng, f)) for f in families)
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _columns_held(table):
+    # a family maps (index, symbol) to a table of columns keyed by id; the
+    # D memo maps ids to columns
+    if any(isinstance(k, tuple) for k in dict.keys(table)):
+        return sum(dict.__len__(t) for t in dict.values(table))
+    return dict.__len__(table)
+
+
+def test_memo_lengths_are_the_columns_held(monkeypatch):
+    # a traced benchmark run reports len() of every memo that
+    # perfbench/probes.py names as the number of memoized columns
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from probes import MEMOS
+
+    model = new_model(1, 0, -1, 0)
+    eng = OperatorEngine(model)
+    basis = monomials(model, 3)
+    v = FockVector({M: 1 for M in basis})
+    eng.boundary(v)
+    eng.q(-1, model.h_class(), v)
+    lengths = {k: len(getattr(eng, attr)) for k, attr in MEMOS.items()}
+    assert lengths == {"q": len(basis), "L": 0, "qp": 0, "b": len(basis), "qd": 0}
+    for sym in model.symbols:
+        eng.virasoro(-1, CohClass({sym: 1}), v)
+        eng.q_derivative(2, 1, CohClass({sym: 1}), v)
+    for k, attr in MEMOS.items():
+        table = getattr(eng, attr)
+        assert len(table) == _columns_held(table), k
+        assert (len(table) > 0) == (k != "qd"), k
 
 
 def test_truncated_step_stores_no_heavier_column():

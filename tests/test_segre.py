@@ -27,7 +27,7 @@ from hilbfock.segre import (
     solve_overdetermined,
     support_monomials,
 )
-from hilbfock.series import conjecture_series
+from hilbfock.series import PowerSeries, conjecture_series
 
 
 def n2_poly():
@@ -198,6 +198,27 @@ def test_known_dm_are_the_closed_form_log_coefficients(point):
     log = conjecture_series(*point, max(KNOWN_DM)).log()
     for m, dm in KNOWN_DM.items():
         assert (-1) ** (m - 1) * m * log.coefficient(m) == dm.evaluate(*point), m
+
+
+#: (d, pi, kappa, e) of real surfaces with a line bundle H: d = H^2,
+#: pi = H.K, kappa = K^2 and e the Euler number
+REAL_SURFACES = {
+    "P2, O(1)": (1, -3, 9, 3),
+    "P2, O(2)": (4, -6, 9, 3),
+    "P1xP1, O(1,1)": (2, -4, 8, 4),
+    "Bl_pt P2, H": (1, -3, 8, 4),
+    "K3, d = 2": (2, 0, 0, 24),
+}
+
+
+@pytest.mark.parametrize("point", REAL_SURFACES.values(), ids=REAL_SURFACES.keys())
+def test_known_dm_give_integral_segre_numbers(point):
+    # on a real surface N_n is an intersection number, so an integer: the
+    # N_0..N_10 that KNOWN_DM gives through sum N_n z^n =
+    # exp(sum (-1)^(m-1) d_m z^m / m) must all be integers
+    log = [0] + [Q((-1) ** (m - 1), m) * KNOWN_DM[m].evaluate(*point) for m in range(1, 11)]
+    values = PowerSeries(log).exp().coeffs
+    assert [n for n, x in enumerate(values) if x.denominator != 1] == []
 
 
 def test_dm_rejects_nonlinear():

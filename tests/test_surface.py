@@ -154,7 +154,10 @@ def test_parse_and_render_class(model):
 
 def test_parse_class_needs_a_sign_between_terms(model_b2):
     # juxtaposed terms are malformed, not summed
-    for text in ["hk", "2h3k", "2 3", "u1u1", "h -k pt"]:
+    for text in ["hk", "2h3k", "2 3", "u1u1", "h -k pt", "2 1", "0 1", "1/2 1", "h+3 1"]:
         with pytest.raises(ValueError, match="malformed"):
             parse_class(text, model_b2)
+    # the symbol 1 after a coefficient needs a *
+    assert parse_class("21", model_b2) == CohClass({"1": 21})
+    assert parse_class("2 * 1-1", model_b2) == CohClass({"1": 1})
     assert parse_class("2h + 3k - u1", model_b2) == CohClass({"h": 2, "k": 3, "u1": -1})

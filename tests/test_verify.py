@@ -2,9 +2,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hilbfock import new_model
+from hilbfock import new_model, operators
 from hilbfock.fock import monomials, mono_weight
-from hilbfock.operators import OperatorEngine
 from hilbfock.verify import (
     run_suite,
     suite_derivative,
@@ -26,21 +25,22 @@ def test_suite_without_checks_does_not_pass():
         assert report["pass"] is False
 
 
-def _wrong_at(method, index):
-    """The column method of an operator, but doubled at one index.  The
-    public operators and the bracket suites both read these columns."""
+def _wrong_at(fill, index):
+    """A column fill of ``operators``, doubled at one index.  A fill takes
+    the engine's tables, then (index, symbol, id); an engine built after
+    the patch fills its family with it, and the public operators and the
+    bracket suites both read those columns.  ``_pairs`` fills both the L
+    and the e family; each suite below reads only one of them."""
 
-    def wrong(self, m, sym, i):
-        out = method(self, m, sym, i)
-        return {N: 2 * x for N, x in out.items()} if m == index else out
+    def wrong(*args):
+        out = fill(*args)
+        return {N: 2 * x for N, x in out.items()} if args[-3] == index else out
 
     return wrong
 
 
 def test_wrong_virasoro_operator_fails(monkeypatch):
-    monkeypatch.setattr(
-        OperatorEngine, "_L_mono", _wrong_at(OperatorEngine._L_mono, 1)
-    )
+    monkeypatch.setattr(operators, "_pairs", _wrong_at(operators._pairs, 1))
     report = suite_virasoro(max_n=2, max_weight=2, model_params=ONE_MODEL)
     assert report["pass"] is False
     assert report["checks"] > 0
@@ -51,9 +51,7 @@ def test_wrong_virasoro_operator_fails(monkeypatch):
 
 
 def test_wrong_oscillator_fails(monkeypatch):
-    monkeypatch.setattr(
-        OperatorEngine, "_q_mono", _wrong_at(OperatorEngine._q_mono, 2)
-    )
+    monkeypatch.setattr(operators, "_q_column", _wrong_at(operators._q_column, 2))
     report = suite_oscillator(
         max_n=2, n_vectors=5, max_weight=3, model_params=ONE_MODEL
     )
@@ -65,11 +63,22 @@ def test_wrong_oscillator_fails(monkeypatch):
 
 def test_wrong_derivative_fails(monkeypatch):
     monkeypatch.setattr(
-        OperatorEngine, "_qprime_mono", _wrong_at(OperatorEngine._qprime_mono, 2)
+        operators, "_qprime_column", _wrong_at(operators._qprime_column, 2)
     )
     report = suite_derivative(
         max_n=2, max_weight=3, sample=5, model_params=ONE_MODEL
     )
+    assert report["pass"] is False
+    assert report["checks"] > 0
+    ce = report["counterexample"]
+    assert set(ce) == {"model", "n", "m", "a", "b", "monomial"}
+    assert ce["model"] == ONE_MODEL[0]
+    assert ce["n"] == 2
+
+
+def test_wrong_e_operator_fails(monkeypatch):
+    monkeypatch.setattr(operators, "_pairs", _wrong_at(operators._pairs, 2))
+    report = suite_e_op(max_weight=2, model_params=ONE_MODEL)
     assert report["pass"] is False
     assert report["checks"] > 0
     ce = report["counterexample"]
