@@ -221,7 +221,7 @@ def _cmd_segre(args) -> int:
 
 
 def _cmd_dm(args) -> int:
-    _check_weight(args.max_m, args.max_weight)
+    _check_weight(args.max_m, args.max_weight, least=1)
     sampler = Sampler(args.cache)
     symbolic_up_to = min(args.max_m, 5)
     polys = [segre_polynomial(n, sampler, jobs=args.jobs) for n in range(symbolic_up_to + 1)]

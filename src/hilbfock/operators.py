@@ -46,8 +46,9 @@ appear only at the public operators, which convert a :class:`FockVector`
 in and out once per call.
 The higher derivatives ad^nu(q_n) and the Chern class operators act on
 whole vectors through one integer kernel, :meth:`OperatorEngine._ad_series`,
-which can form the part of one degree alone; the top Segre numbers use
-that for the last weight step.
+which sums Horner's rule into one integer accumulator over a denominator
+fixed before its loop and can form the part of one degree alone; the top
+Segre numbers use that for the last weight step.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from math import comb, factorial, inf, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .fock import FockVector, Monomial, mono_degree, mono_insert, mono_weight, vacuum
-from .linear import IntVec, axpy, int_apply, int_combine, int_reduce, int_vec
+from .linear import IntVec, axpy, int_apply, int_reduce, int_vec
 from .surface import CohClass, KClassSpec, SurfaceModel
 
 Q = Fraction
@@ -107,13 +108,14 @@ class _Table(dict):
 
 class _Family(_Table):
     """One column table per (index, symbol): ``fam[m, sym][i]`` is
-    ``fill(m, sym, i)``, filled on the first lookup and kept.  Its len() is
-    the number of columns held."""
+    ``fill(m, sym, i)``, integer numerators over ``den``, filled on the
+    first lookup and kept.  Its len() is the number of columns held."""
 
-    __slots__ = ()
+    __slots__ = ("den",)
 
-    def __init__(self, fill: Callable):
+    def __init__(self, fill: Callable, den: int):
         super().__init__(lambda k: _Table(partial(fill, *k)))
+        self.den = den
 
     def __len__(self):
         return sum(map(len, self.values()))
@@ -237,12 +239,6 @@ def _boundary_column(ids, monos, ins, cut, join, kterm, i: int) -> Column:
     return {N: x for N, x in num.items() if x}
 
 
-def _mat_vec(column: Callable[[int], Column], den: int, v: IntVec) -> IntVec:
-    """The operator with the given integer columns over ``den`` on v."""
-    num, vden = v
-    return int_reduce(int_apply({}, column, num), vden * den)
-
-
 class OperatorEngine:
     """Memoizing calculator for the operator calculus over one surface model."""
 
@@ -266,16 +262,16 @@ class OperatorEngine:
         ins = self._ins = _Table(lambda f: _Table(lambda i: ids[mono_insert(monos[i], *f)]))
         self._den, self._cut, self._join, self._kterm = _boundary_tables(model)
         syms = model.symbols
-        self._pair, self._qden = int_vec(
+        self._pair, qden = int_vec(
             {(s, t): model.pair_sym(s, t) for s in syms for t in syms}
         )
-        self._Lden = self._den * self._qden**2
+        self._qden, self._Lden = qden, self._den * qden**2
         # the column tables, over _qden (q), _Lden (L, e, q') and _den (D)
-        cut, kterm = self._cut, self._kterm
-        q = self._q_cache = _Family(partial(_q_column, ids, monos, ins, self._pair, self._qden))
-        L = self._L_cache = _Family(partial(_pairs, q, cut, monos, 1))
-        self._e_cache = _Family(partial(_pairs, q, cut, monos, -1))
-        self._qp_cache = _Family(partial(_qprime_column, q, L, kterm, self._qden))
+        cut, kterm, Lden = self._cut, self._kterm, self._Lden
+        q = self._q_cache = _Family(partial(_q_column, ids, monos, ins, self._pair, qden), qden)
+        L = self._L_cache = _Family(partial(_pairs, q, cut, monos, 1), Lden)
+        self._e_cache = _Family(partial(_pairs, q, cut, monos, -1), Lden)
+        self._qp_cache = _Family(partial(_qprime_column, q, L, kterm, qden), Lden)
         self._b_cache = _Table(partial(_boundary_column, ids, monos, ins, cut, self._join, kterm))
         # Always empty: higher derivatives are not memoized per monomial. It
         # stays because perfbench/probes.py reads every cache attribute.
@@ -298,34 +294,29 @@ class OperatorEngine:
         monos = self._monos
         return FockVector({monos[i]: Q(x, den) for i, x in num.items()})
 
-    def _apply(self, fam: _Family, den: int, m: int, a: CohClass, v: FockVector) -> FockVector:
-        """The column family ``fam[m, sym] / den``, extended bilinearly."""
-        w = self._in(v)
-        return self._out(
-            int_combine((c, _mat_vec(fam[m, sym].__getitem__, den, w)) for sym, c in a.terms.items())
-        )
+    def _apply(self, fam: _Family, m: int, a: CohClass, v: FockVector) -> FockVector:
+        """The column family ``fam[m, sym]``, extended bilinearly: one
+        integer sum over ``den(v) * den(a) * fam.den``, reduced once."""
+        (num, den), (cs, cden) = self._in(v), int_vec(a.terms)
+        out: Column = {}
+        for sym, c in cs.items():
+            int_apply(out, fam[m, sym].__getitem__, num, c)
+        return self._out(int_reduce(out, den * cden * fam.den))
 
     # -- the column operators ---------------------------------------------
 
     def q(self, m: int, a: CohClass, v: FockVector) -> FockVector:
-        return self._apply(self._q_cache, self._qden, m, a, v)
-
-    def _q_int(self, m: int, sym: str, v: IntVec) -> IntVec:
-        """q_m(sym) on an integer vector: for m >= 1 a relabelling."""
-        num, den = v
-        if m > 0:
-            ins = self._ins[m, sym]
-            return {ins[i]: c for i, c in num.items()}, den
-        return _mat_vec(self._q_cache[m, sym].__getitem__, self._qden, v)
+        return self._apply(self._q_cache, m, a, v)
 
     def virasoro(self, m: int, a: CohClass, v: FockVector) -> FockVector:
-        return self._apply(self._L_cache, self._Lden, m, a, v)
+        return self._apply(self._L_cache, m, a, v)
 
     def e_op(self, n: int, a: CohClass, v: FockVector) -> FockVector:
-        return self._apply(self._e_cache, self._Lden, n, a, v)
+        return self._apply(self._e_cache, n, a, v)
 
     def boundary(self, v: FockVector) -> FockVector:
-        return self._out(_mat_vec(self._b_cache.__getitem__, self._den, self._in(v)))
+        num, den = self._in(v)
+        return self._out(int_reduce(int_apply({}, self._b_cache.__getitem__, num), den * self._den))
 
     # -- derivatives: one whole-vector kernel ------------------------------
 
@@ -348,10 +339,18 @@ class OperatorEngine:
 
         so the powers ``D^j v`` are formed once and shared by every class,
         and the sum over i is taken by Horner's rule, acc <- D acc + y_i.
-        nu stops at the last nonzero b_nu, and j where ``D^j v`` vanishes.
-        On a vector of weight at most w, nu <= 2w + n + 1 suffices:
-        ad^nu(q_n(c)) raises the degree by 2(n + nu - 1) + deg c, and its
-        result, of weight w + n, has degree at most 4(w + n).
+        The series is folded into one row per basis class,
+        ``coef[sym][nu] = sum of b(nu) c[sym]``; nu stops at nu_last, the
+        last nonzero entry, and j where ``D^j v`` vanishes.  On a vector of
+        weight at most w, nu <= 2w + n + 1 suffices: ad^nu(q_n(c)) raises
+        the degree by 2(n + nu - 1) + deg c, and its result, of weight
+        w + n, has degree at most 4(w + n).
+
+        Every denominator is fixed before the loop.  With F the lcm of the
+        denominators of coef, ``D^j v`` is over ``den * _den**j`` and acc at
+        index i over ``den * _qden * F * _den**(nu_last - i)``, so D acc needs
+        no rescale and each q_n(sym) D^j v is summed into acc in place with an
+        integer multiplier; acc is reduced once, at the end.
 
         The powers are kept split by degree.  D raises the degree by 2 and
         q_n(sym) by 2n - 2 + deg sym, so for a target degree the parts of
@@ -360,75 +359,63 @@ class OperatorEngine:
         kept.  Nothing else reaches the target degree, so the result is its
         exact degree-``degree`` part.  A truncated step is the last of a
         chain, so the D columns of the accumulator, of weight w + n, are
-        then not memoized: nothing reads them again.
-
-        v and the result are integer vectors keyed by monomial ids, and D
-        is read from the integer boundary memo.
+        then not memoized: nothing reads them again.  v and the result are
+        integer vectors keyed by monomial ids.
         """
         num, den = v
-        if not num:
-            return {}, 1
         monos, degs = self._monos, self._degs
-        top = 2 * max(mono_weight(monos[i]) for i in num) + n + 1
-        rows = []
+        top = 2 * max((mono_weight(monos[i]) for i in num), default=0) + n + 1
+        if not num or top < 0:
+            return {}, 1
+        coef: Dict[str, List[Q]] = {}
         for b, cls in series:
-            row = [b(nu) for nu in range(top + 1)]
-            while row and not row[-1]:
-                row.pop()
-            if row and cls:
-                rows.append((row, cls))
-        nu_last = max((len(row) for row, _ in rows), default=0) - 1
+            for sym, c in cls.items():
+                row = coef.get(sym, [0] * (top + 1))
+                coef[sym] = [x + b(nu) * c for nu, x in enumerate(row)]
+        F = lcm(*(x.denominator for row in coef.values() for x in row))
+        rows = {sym: [_scaled(x, F) for x in row] for sym, row in coef.items()}
+        nu_last = max((nu for row in rows.values() for nu, x in enumerate(row) if x), default=0)
         cap = inf if degree is None else degree - (2 * n - 2)
         b = self._b_cache
-        last = b.__getitem__ if degree is None else b.fill
-        # powers[j][e] is the degree-e part of D^j v
-        split: Dict[int, Column] = {}
+        # powers[j][e] is the degree-e part of D^j v, over den * _den**j
+        powers: List[Dict[int, Column]] = [{}]
         for i, c in num.items():
-            e = degs[i]
-            if e <= cap:
-                split.setdefault(e, {})[i] = c
-        powers = [{e: int_reduce(part, den) for e, part in split.items()}]
+            if degs[i] <= cap:
+                powers[0].setdefault(degs[i], {})[i] = c
         while len(powers) <= nu_last:
             nxt = {}
             for e, part in powers[-1].items():
                 if e + 2 <= cap:
-                    p = _mat_vec(b.__getitem__, self._den, part)
-                    if p[0]:
+                    p = {k: x for k, x in int_apply({}, b.__getitem__, part).items() if x}
+                    if p:
                         nxt[e + 2] = p
             if not nxt:
                 break
             powers.append(nxt)
         shift = {sym: 2 * n - 2 + d for sym, d in self.model.degree.items()}
-        # q_n(sym) applied to the degree-e part of D^j v, shared by every i
-        created: Dict[Tuple[str, int, int], IntVec] = {}
-        acc: IntVec = ({}, 1)
+        last = b.__getitem__ if degree is None else b.fill
+        dpow = [self._den**k for k in range(nu_last + 1)]
+        lift = self._qden if n > 0 else 1  # q_n(sym), n > 0: ins[n, sym] times _qden
+        acc: Column = {}
         for i in range(nu_last, -1, -1):
-            # y_i as coefficients of q_n(sym) D^j v, keyed by (sym, j)
-            coeffs: Dict[Tuple[str, int], Q] = {}
-            for row, cls in rows:
-                for j in range(min(len(powers), len(row) - i)):
-                    if not row[i + j]:
+            # a cancelled entry would fill a D column for nothing
+            acc = int_apply({}, last, {k: x for k, x in acc.items() if x})
+            get = acc.get
+            for sym, row in rows.items():
+                create = self._ins[n, sym] if n > 0 else self._q_cache[n, sym]
+                e = None if degree is None else degree - 2 * i - shift[sym]
+                for j in range(min(len(powers), nu_last + 1 - i)):
+                    f = (-1) ** j * row[i + j] * comb(i + j, i) * dpow[nu_last - i - j] * lift
+                    if not f:
                         continue
-                    f = row[i + j] * comb(i + j, i)
-                    if j % 2:
-                        f = -f
-                    for sym, cc in cls.items():
-                        key = (sym, j)
-                        coeffs[key] = coeffs.get(key, 0) + f * cc
-            parts = [(Q(1), _mat_vec(last, self._den, acc))]
-            for (sym, j), f in coeffs.items():
-                if degree is None:
-                    ds = powers[j]
-                else:
-                    ds = (degree - 2 * i - shift[sym],)
-                for e in ds:
-                    if e in powers[j]:
-                        key = (sym, j, e)
-                        if key not in created:
-                            created[key] = self._q_int(n, sym, powers[j][e])
-                        parts.append((f, created[key]))
-            acc = int_combine(parts)
-        return acc
+                    for part in powers[j].values() if e is None else [powers[j].get(e, {})]:
+                        if n <= 0:
+                            int_apply(acc, create.__getitem__, part, f)
+                            continue
+                        for k, x in part.items():
+                            t = create[k]
+                            acc[t] = get(t, 0) + f * x
+        return int_reduce(acc, den * self._qden * F * dpow[-1])
 
     def q_derivatives(
         self, n: int, order: int, a: CohClass, v: FockVector
@@ -455,17 +442,14 @@ class OperatorEngine:
         def upto(nu: int) -> int:
             return int(nu <= order)
 
-        by_order: List[List[Tuple[Q, IntVec]]] = [[] for _ in range(order + 1)]
+        by_order: List[Dict[int, Q]] = [{} for _ in range(order + 1)]
         for e, part in parts.items():
             for ds, cls in classes.items():
                 num, den = self._ad_series(n, [(upto, cls)], int_vec(part))
-                split: List[Column] = [{} for _ in range(order + 1)]
-                base = e + ds + 2 * n - 2
                 for i, x in num.items():
-                    split[(degs[i] - base) // 2][i] = x
-                for nu, vec in enumerate(split):
-                    by_order[nu].append((Q(1), (vec, den)))
-        return [self._out(int_combine(vecs)) for vecs in by_order]
+                    out = by_order[(degs[i] - e - ds - 2 * n + 2) // 2]
+                    out[i] = out.get(i, 0) + Q(x, den)
+        return [FockVector({self._monos[i]: c for i, c in out.items()}) for out in by_order]
 
     def q_derivative(
         self, n: int, order: int, a: CohClass, v: FockVector
@@ -480,7 +464,7 @@ class OperatorEngine:
         if order == 0:
             return self.q(n, a, v)
         if order == 1:
-            return self._apply(self._qp_cache, self._Lden, n, a, v)
+            return self._apply(self._qp_cache, n, a, v)
         return self.q_derivatives(n, order, a, v)[order]
 
     # -- Chern class operators ---------------------------------------------
@@ -530,14 +514,15 @@ class OperatorEngine:
         series = [
             (lambda nu: Q(1, factorial(nu)), u.chern_character(self.model).terms)
         ]
-        g: IntVec = ({}, 1)
-        w: IntVec = ({self._ids[()]: 1}, 1)
+        up = self._ins[1, "1"]  # q_1(1), a relabelling
+        g: Dict[int, Q] = {}
+        w = self._ids[()]  # the id of q_1(1)^j |0>
         for _ in range(n):
-            g = int_combine(
-                [(Q(1), self._q_int(1, "1", g)), (Q(1), self._ad_series(1, series, w))]
-            )
-            w = self._q_int(1, "1", w)
-        return self._out(g).scale(Q(1, factorial(n)))
+            g = {up[i]: c for i, c in g.items()}
+            num, den = self._ad_series(1, series, ({w: 1}, 1))
+            axpy(g, num, Q(1, den * factorial(n)))
+            w = up[w]
+        return FockVector({self._monos[i]: c for i, c in g.items()})
 
     # -- vertex operator ---------------------------------------------------
 

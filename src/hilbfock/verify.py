@@ -101,24 +101,13 @@ def _unit_vectors(basis, fields) -> Iterator[Tuple[Dict, dict]]:
         yield {M: 1}, dict(fields, monomial=list(M))
 
 
-def _columns(eng: OperatorEngine) -> Dict[str, Tuple[Dict, int]]:
-    """The engine's column families ``(fam, den)``: ``fam[n, sym][i]`` is
-    the image of the monomial of id i as integer numerators over ``den``,
-    keyed by monomial ids."""
-    return {
-        "q": (eng._q_cache, eng._qden),
-        "L": (eng._L_cache, eng._Lden),
-        "e": (eng._e_cache, eng._Lden),
-        "q'": (eng._qp_cache, eng._Lden),
-    }
-
-
 def _bracket(eng, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
     """Cases of ``[A_n(a), B_m(b)] v = x B_(n+m)(ab) v + y v`` for n in ns
     and m in ms, where a and b run over the basis classes of the engine's
     model, ab is their product and ``(x, y) = rhs(n, m, ab)`` are
-    rationals.  A and B are column families ``(fam, den)`` of ``eng``
-    (see :func:`_columns`).
+    rationals.  A and B are column families of ``eng``: ``A[n, a][i]`` is
+    the image of the monomial of id i as integer numerators over ``A.den``,
+    keyed by monomial ids.
 
     ``vectors`` yields pairs ``(v, fields)`` with v a dict of integer
     coefficients keyed by monomials, which is interned once into the
@@ -129,7 +118,7 @@ def _bracket(eng, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
     n, m, a and b added.  Each A_n(a) v and B_m(b) v is computed once per
     vector.
     """
-    (a_fam, a_den), (b_fam, b_den) = A, B
+    a_den, b_den = A.den, B.den
     model, ids = eng.model, eng._ids
     syms = model.symbols
     # per case (n, m, a, b): the residual times a common denominator is
@@ -144,13 +133,13 @@ def _bracket(eng, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
         plan.append((n, m, sa, sb, den // (a_den * b_den), f_s, int(y * den)))
     for v, fields in vectors:
         v = {ids[M]: c for M, c in v.items()}
-        Av = {(n, sa): int_apply({}, a_fam[n, sa].__getitem__, v) for n in ns for sa in syms}
-        Bv = {(m, sb): int_apply({}, b_fam[m, sb].__getitem__, v) for m in ms for sb in syms}
+        Av = {(n, sa): int_apply({}, A[n, sa].__getitem__, v) for n in ns for sa in syms}
+        Bv = {(m, sb): int_apply({}, B[m, sb].__getitem__, v) for m in ms for sb in syms}
         for n, m, sa, sb, f, f_s, f_id in plan:
-            res = int_apply({}, a_fam[n, sa].__getitem__, Bv[m, sb], f)
-            int_apply(res, b_fam[m, sb].__getitem__, Av[n, sa], -f)
+            res = int_apply({}, A[n, sa].__getitem__, Bv[m, sb], f)
+            int_apply(res, B[m, sb].__getitem__, Av[n, sa], -f)
             for fb, s in f_s:
-                int_apply(res, b_fam[n + m, s].__getitem__, v, -fb)
+                int_apply(res, B[n + m, s].__getitem__, v, -fb)
             if f_id:
                 for i, c in v.items():
                     res[i] = res.get(i, 0) - f_id * c
@@ -177,9 +166,8 @@ def suite_oscillator(
         def rhs(n, m, ab):
             return 0, n * model.integrate(ab) if n + m == 0 else 0
 
-        q = _columns(eng)["q"]
         vs = [(int_vec(v.terms)[0], {"model": mp}) for v in vectors]
-        yield from _bracket(eng, vs, q, q, idx, idx, rhs)
+        yield from _bracket(eng, vs, eng._q_cache, eng._q_cache, idx, idx, rhs)
         # q_0 vanishes identically, here on the last basis vector
         z = eng.q(0, model.unit(), FockVector({basis[-1]: 1}))
         yield z, FockVector(), {"model": mp, "n": 0}
@@ -229,7 +217,6 @@ def suite_virasoro(
     for mp, model, eng in _engines(model_params):
         basis = fock.monomials(model, max_weight)
         c2 = model.c2_class()
-        cols = _columns(eng)
 
         def lq(n, m, ab):
             return -m, 0
@@ -240,9 +227,10 @@ def suite_virasoro(
             # central term integrating c_2(X) a b, with c_2(X) = e * pt
             return n - m, -Q(n**3 - n, 12) * model.integrate(model.mul(c2, ab))
 
-        for relation, B, bs, rhs in (("Lq", "q", ms, lq), ("LL", "L", ns, ll)):
+        L = eng._L_cache
+        for relation, B, bs, rhs in (("Lq", eng._q_cache, ms, lq), ("LL", L, ns, ll)):
             vs = _unit_vectors(basis, {"model": mp, "relation": relation})
-            yield from _bracket(eng, vs, cols["L"], cols[B], ns, bs, rhs)
+            yield from _bracket(eng, vs, L, B, ns, bs, rhs)
 
 
 # -- boundary derivative ---------------------------------------------------
@@ -267,7 +255,6 @@ def suite_derivative(
         high = [M for M in basis if mono_weight(M) > 2]
         chosen = low + rng.sample(high, min(sample, len(high)))
         K = model.canonical_class()
-        cols = _columns(eng)
 
         def rhs(n, m, ab):
             if n + m:
@@ -276,7 +263,7 @@ def suite_derivative(
             return -n * m, -Q(n * m) * Q(abs(n) - 1, 2) * kab
 
         vs = _unit_vectors(chosen, {"model": mp})
-        yield from _bracket(eng, vs, cols["q'"], cols["q"], idx, idx, rhs)
+        yield from _bracket(eng, vs, eng._qp_cache, eng._q_cache, idx, idx, rhs)
         # Leibniz rule for the boundary operator on a sample of products
         for _ in range(20):
             M = rng.choice(basis)
@@ -303,9 +290,8 @@ def suite_e_op(
         def rhs(n, m, ab):
             return (m if m > 0 or m < -n else 0), 0
 
-        cols = _columns(eng)
         vs = _unit_vectors(fock.monomials(model, max_weight), {"model": mp})
-        yield from _bracket(eng, vs, cols["e"], cols["q"], ns, ms, rhs)
+        yield from _bracket(eng, vs, eng._e_cache, eng._q_cache, ns, ms, rhs)
 
 
 # -- vertex integral -------------------------------------------------------

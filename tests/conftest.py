@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hilbfock import new_model
@@ -25,6 +27,13 @@ def engine(model):
 @pytest.fixture(scope="session")
 def engine_b2(model_b2):
     return OperatorEngine(model_b2)
+
+
+@pytest.fixture(scope="session")
+def engine_rational():
+    """A model with rational parameters, where the boundary denominator
+    ``_den`` is 336 and the pairing denominator ``_qden`` is 6."""
+    return OperatorEngine(new_model(Fraction(3, 2), Fraction(1, 3), -2, 1))
 
 
 @pytest.fixture(scope="session")

@@ -232,6 +232,7 @@ def test_console_entry_point():
         ["segre", "--n", "-1"],
         ["chern", "--n", "-1", "--bundle", "L(c1=h)"],
         ["dm", "--max-m", "-1"],
+        ["dm", "--max-m", "0"],
         ["conjecture", "--n-max", "-1"],
         ["verify", "vertex-integral", "--max-n", "0"],
         ["--max-weight", "3", "verify", "e-op", "--max-n", "9"],
@@ -246,6 +247,7 @@ def test_console_entry_point():
         "segre-negative-n",
         "chern-negative-n",
         "dm-negative-max-m",
+        "dm-max-m-zero",
         "conjecture-negative-n-max",
         "verify-max-n-zero",
         "verify-max-n-over-guard",

@@ -82,7 +82,7 @@ def test_pairing_is_the_annihilation_pairing():
 
         @cache
         def vacuum_coefficient(factors, i):
-            # over eng._qden ** len(factors), from the engine's q columns on
+            # over q.den ** len(factors), from the engine's q columns on
             # the monomial of id i
             if not factors:
                 return int(eng._monos[i] == ())
@@ -92,7 +92,7 @@ def test_pairing_is_the_annihilation_pairing():
 
         basis = [(M, FockVector({M: 1})) for M in monomials(model, 4)]
         for M, v in basis:
-            den = (-1) ** mono_weight(M) * eng._qden ** len(M)
+            den = (-1) ** mono_weight(M) * eng._q_cache.den ** len(M)
             for N, w in basis:
                 got = pairing(v, w, model)
                 want = vacuum_coefficient(M, eng._ids[N]) * got.denominator
