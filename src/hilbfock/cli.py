@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -133,6 +134,12 @@ def _check_weight(n: int, max_weight: int, least: int = 0) -> None:
         )
 
 
+def _cache_arg(p: argparse.ArgumentParser) -> None:
+    # the one reader of HILB_CACHE: the library takes a cache path only as an argument
+    default = os.environ.get("HILB_CACHE") or None
+    p.add_argument("--cache", default=default, help="sample cache file (JSONL); default $HILB_CACHE")
+
+
 def _model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=_rat_arg, default=Q(1))
     p.add_argument("--pi", type=_rat_arg, default=Q(0))
@@ -164,19 +171,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbolic", action="store_true")
     _model_args(p)
     p.add_argument("--jobs", type=_jobs_arg, default=1)
-    p.add_argument("--cache", default=None, help="sample cache file (JSONL)")
+    _cache_arg(p)
     p.set_defaults(func=_cmd_segre)
 
     p = sub.add_parser("dm", help="log-series coefficients")
     p.add_argument("--max-m", type=int, default=5)
     p.add_argument("--jobs", type=_jobs_arg, default=1)
-    p.add_argument("--cache", default=None)
+    _cache_arg(p)
     p.set_defaults(func=_cmd_dm)
 
     p = sub.add_parser("conjecture", help="compare with the closed form")
     p.add_argument("--n-max", type=int, default=4)
     _model_args(p)
-    p.add_argument("--cache", default=None)
+    _cache_arg(p)
     p.set_defaults(func=_cmd_conjecture)
 
     p = sub.add_parser("chern", help="tautological total Chern class")
@@ -208,8 +215,7 @@ def _cmd_verify(args) -> int:
 def _cmd_segre(args) -> int:
     _check_weight(args.n, args.max_weight)
     if args.symbolic:
-        sampler = Sampler(args.cache)
-        poly = segre_polynomial(args.n, sampler, jobs=args.jobs)
+        poly = segre_polynomial(args.n, Sampler(args.cache, args.jobs))
         result = {"n": args.n, "polynomial": poly.render(), "terms": poly.json_map()}
         _emit("segre", {"n": args.n, "symbolic": True}, result)
         return 0
@@ -222,13 +228,13 @@ def _cmd_segre(args) -> int:
 
 def _cmd_dm(args) -> int:
     _check_weight(args.max_m, args.max_weight, least=1)
-    sampler = Sampler(args.cache)
+    sampler = Sampler(args.cache, args.jobs)
     symbolic_up_to = min(args.max_m, 5)
-    polys = [segre_polynomial(n, sampler, jobs=args.jobs) for n in range(symbolic_up_to + 1)]
+    polys = [segre_polynomial(n, sampler) for n in range(symbolic_up_to + 1)]
     dms = fitted = dm_coefficients(polys)
     if args.max_m > symbolic_up_to:
         # the fit gives d_1..d_5 a second time, which must agree
-        fitted = fit_dm_linear(args.max_m, sampler, jobs=args.jobs)
+        fitted = fit_dm_linear(args.max_m, sampler)
         dms = dms + fitted[symbolic_up_to + 1:]
     rows = []
     all_match = True

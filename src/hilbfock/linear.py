@@ -75,20 +75,6 @@ def int_apply(
     return out
 
 
-def int_combine(parts: Iterable[Tuple[Q, IntVec]]) -> IntVec:
-    """``sum of c * v`` over ``(c, v)`` in ``parts``, with c rational."""
-    scaled = [(c.numerator, num, den * c.denominator) for c, (num, den) in parts]
-    den = lcm(*(d for c, num, d in scaled if c and num))
-    out: Dict[Hashable, int] = {}
-    get = out.get
-    for c, num, d in scaled:
-        if c and num:
-            f = c * (den // d)
-            for k, x in num.items():
-                out[k] = get(k, 0) + f * x
-    return int_reduce(out, den)
-
-
 def render_sum(items: Iterable[Tuple[Q, str]], sep: str = "") -> str:
     """Render ``(coefficient, monomial)`` pairs as a signed sum.
 

@@ -160,19 +160,19 @@ class Sampler:
     is unreadable or names another engine version is not loaded, and is
     rewritten with a fresh header before the first new record, so that new
     records are not appended below the stale header and lost on reload.
-    Record lines that do not decode to a complete record are skipped and
-    counted in ``corrupt_lines``.  Each append holds an exclusive
-    ``flock`` on the file and checks the header under it, so several
-    processes may share one cache file.
-    The path may also come from the ``HILB_CACHE`` environment variable.
-    A path that is a directory, or whose directory does not exist, is
-    refused with ValueError before anything is sampled.
+    Record lines that do not decode to a complete record, with JSON
+    integers for ``n`` and ``b2_extra``, are skipped and counted in
+    ``corrupt_lines``.  Each append holds an exclusive ``flock`` on the
+    file and checks the header under it, so several processes may share
+    one cache file.  The sampler reads no environment variable.  A path
+    that is a directory, or whose directory does not exist, is refused
+    with ValueError before anything is sampled.  ``jobs`` bounds the
+    number of worker processes of :meth:`fill`.
     """
 
-    def __init__(self, cache_path: Optional[str] = None):
-        if cache_path is None:
-            cache_path = os.environ.get("HILB_CACHE") or None
+    def __init__(self, cache_path: Optional[str] = None, jobs: int = 1):
         self.cache_path = cache_path
+        self.jobs = jobs
         self._mem: Dict[Tuple[int, Params], Q] = {}
         #: point -> k such that N_0 .. N_(k-1) are all in _mem there, as far
         #: as the load and :meth:`_holds` have looked; values are never removed
@@ -202,12 +202,13 @@ class Sampler:
         for ln in filter(str.strip, lines[1:]):
             try:
                 rec = json.loads(ln)
-                raw = (rec["d"], rec["pi"], rec["kappa"], rec["b2_extra"])
+                n, b2 = rec["n"], rec["b2_extra"]
+                if type(n) is not int or type(b2) is not int:  # not int(): 2.7 or true
+                    raise TypeError("n and b2_extra must be JSON integers")
+                raw = (rec["d"], rec["pi"], rec["kappa"], b2)
                 params = parsed.get(raw)
                 if params is None:
-                    d, pi, kappa, b2 = raw
-                    params = parsed[raw] = (Q(d), Q(pi), Q(kappa), int(b2))
-                n = int(rec["n"])
+                    params = parsed[raw] = (Q(raw[0]), Q(raw[1]), Q(raw[2]), b2)
                 self._mem[(n, params)] = Q(rec["value"])
             except (KeyError, TypeError, ValueError, ArithmeticError):
                 self.corrupt_lines += 1
@@ -252,17 +253,17 @@ class Sampler:
             self._mem[key] = value
             self._append(n, params, value)
 
-    def fill(self, n_max: int, points: Sequence[Params], jobs: int = 1) -> None:
+    def fill(self, n_max: int, points: Sequence[Params]) -> None:
         """Compute and store N_0 .. N_{n_max} at each point missing one.
 
-        With ``jobs > 1`` and more than one point to compute, the chains
-        run in a pool of at most one worker per point; else serially.
+        With ``self.jobs > 1`` and more than one point to compute, the
+        chains run in a pool of at most one worker per point; else serially.
         """
         tasks = [(n_max, p) for p in points if not self._holds(n_max, p)]
-        if jobs > 1 and len(tasks) > 1:
+        if self.jobs > 1 and len(tasks) > 1:
             import multiprocessing
 
-            with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+            with multiprocessing.Pool(min(self.jobs, len(tasks))) as pool:
                 results = pool.map(_series_worker, tasks)
         else:
             results = map(_series_worker, tasks)
@@ -564,9 +565,7 @@ def _interpolate(
 EXTRA_POINTS = 3
 
 
-def segre_polynomial(
-    n: int, sampler: Optional[Sampler] = None, jobs: int = 1
-) -> UnivPoly:
+def segre_polynomial(n: int, sampler: Optional[Sampler] = None) -> UnivPoly:
     """The universal polynomial for N_n, by exact interpolation.
 
     Solves an overdetermined linear system over the allowed monomial
@@ -588,7 +587,7 @@ def segre_polynomial(
                 "sample matrix is rank deficient: %s^%d needs more grid values of %s"
                 % (var, top, var)
             )
-    sampler.fill(n, grid, jobs)
+    sampler.fill(n, grid)
     return _interpolate(monos, grid, [sampler.value(n, p) for p in grid])
 
 
@@ -632,9 +631,7 @@ _FIT_TUPLES: Tuple[Params, ...] = (
 )
 
 
-def fit_dm_linear(
-    m_max: int, sampler: Optional[Sampler] = None, jobs: int = 1
-) -> List[UnivPoly]:
+def fit_dm_linear(m_max: int, sampler: Optional[Sampler] = None) -> List[UnivPoly]:
     """The coefficients d_1 .. d_{m_max} by an exact linear fit.
 
     Each d_m is linear in (d, pi, kappa, e), so numeric log-series samples
@@ -643,7 +640,7 @@ def fit_dm_linear(
     """
     if sampler is None:
         sampler = Sampler()
-    sampler.fill(m_max, _FIT_TUPLES, jobs)
+    sampler.fill(m_max, _FIT_TUPLES)
     logs = [
         PowerSeries([sampler.value(j, p) for j in range(m_max + 1)]).log()
         for p in _FIT_TUPLES

@@ -2,12 +2,13 @@
 command line interface and the acceptance tests.
 
 Each suite is a generator of cases ``(lhs, rhs, counterexample)`` for one
-family of identities in exact arithmetic, and :func:`_suite` turns it into
-a function that returns the report of :func:`_run`.  The runner counts
-every case it evaluates as one check and stops at the first case with
-``lhs != rhs``.  The report gives the suite name, the number of checks, a
-pass flag and the counterexample dict of that case (None if there is
-none).  A suite that made no check does not pass.
+family of identities in exact arithmetic, and :func:`_suite` registers it
+in :data:`SUITES`, with the size and seed it takes, as a function that
+returns its report.  The suite counts every case it evaluates as one check
+and stops at the first case with ``lhs != rhs``.  The report gives the
+suite name, the number of checks, a pass flag and the counterexample dict
+of that case (None if there is none).  A suite that made no check does
+not pass.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import wraps
 from itertools import product
 from math import comb, factorial, lcm
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from . import affine, fock
 from .fock import FockVector, mono_degree, mono_weight, pairing, vacuum
@@ -47,32 +48,39 @@ class UnknownSuite(ValueError):
     """The requested verification suite does not exist."""
 
 
-def _run(name: str, cases: Iterable[Case]) -> dict:
-    """Count and compare the cases of one suite; stop at the first mismatch."""
-    checks = 0
-    counterexample = None
-    for lhs, rhs, where in cases:
-        checks += 1
-        if lhs != rhs:
-            counterexample = where
-            break
-    return {
-        "suite": name,
-        "checks": checks,
-        "pass": counterexample is None and checks > 0,
-        "counterexample": counterexample,
-    }
+#: suite name -> suite, in the order of definition
+SUITES: Dict[str, Callable[..., dict]] = {}
 
 
-def _suite(name: str):
-    """Turn a generator of cases into a suite that returns its report; the
-    suite keeps the generator's name, docstring and parameters."""
+def _suite(name: str, size: Optional[str] = None, largest: Optional[int] = None):
+    """Register a generator of cases as the suite ``name``, a function that
+    runs the cases and returns the report; the suite keeps the generator's
+    name, docstring and parameters.  ``size`` is the keyword that
+    :func:`run_suite` sets from ``max_n`` (None: the suite takes no size)
+    and ``largest`` the largest value accepted for it (None: no limit).
+    The suite takes a seed when the generator has a ``seed`` parameter."""
 
     def decorate(cases: Callable[..., Iterator[Case]]) -> Callable[..., dict]:
         @wraps(cases)
         def suite(*args, **kwargs) -> dict:
-            return _run(name, cases(*args, **kwargs))
+            checks = 0
+            counterexample = None
+            for lhs, rhs, where in cases(*args, **kwargs):
+                checks += 1
+                if lhs != rhs:
+                    counterexample = where
+                    break
+            return {
+                "suite": name,
+                "checks": checks,
+                "pass": counterexample is None and checks > 0,
+                "counterexample": counterexample,
+            }
 
+        code = cases.__code__
+        suite.size, suite.largest = size, largest
+        suite.seeded = "seed" in code.co_varnames[: code.co_argcount]
+        SUITES[name] = suite
         return suite
 
     return decorate
@@ -148,7 +156,7 @@ def _bracket(eng, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
 
 # -- oscillator commutation relations --------------------------------------
 
-@_suite("oscillator")
+@_suite("oscillator", "max_n")
 def suite_oscillator(
     max_n: int = 4,
     seed: int = 1,
@@ -175,7 +183,7 @@ def suite_oscillator(
 
 # -- graded pairing --------------------------------------------------------
 
-@_suite("pairing")
+@_suite("pairing", "n_max")
 def suite_pairing(
     n_max: int = 8, max_weight: int = 4, seed: int = 2,
     model_params=DEFAULT_MODELS,
@@ -207,7 +215,7 @@ def suite_pairing(
 
 # -- Virasoro relations ----------------------------------------------------
 
-@_suite("virasoro")
+@_suite("virasoro", "max_n")
 def suite_virasoro(
     max_n: int = 2, max_weight: int = 4, model_params=DEFAULT_MODELS
 ) -> Iterator[Case]:
@@ -235,7 +243,7 @@ def suite_virasoro(
 
 # -- boundary derivative ---------------------------------------------------
 
-@_suite("derivative")
+@_suite("derivative", "max_n")
 def suite_derivative(
     max_n: int = 3,
     max_weight: int = 5,
@@ -278,7 +286,9 @@ def suite_derivative(
 
 # -- truncated quadratic operators -----------------------------------------
 
-@_suite("e-op")
+# the basis roughly triples per unit of weight and e-op checks all of it:
+# at 4, its default and largest weight, it takes tens of seconds already
+@_suite("e-op", "max_weight", 4)
 def suite_e_op(
     max_weight: int = 4, model_params=DEFAULT_MODELS
 ) -> Iterator[Case]:
@@ -296,7 +306,7 @@ def suite_e_op(
 
 # -- vertex integral -------------------------------------------------------
 
-@_suite("vertex-integral")
+@_suite("vertex-integral", "n_max")
 def suite_vertex_integral(
     n_max: int = 5, model_params=DEFAULT_MODELS
 ) -> Iterator[Case]:
@@ -337,7 +347,7 @@ def betti_product(n_max: int, e: int) -> Dict[Tuple[int, int], int]:
     return {(w, d): c for w, row in enumerate(rows) for d, c in row.items()}
 
 
-@_suite("goettsche-dim")
+@_suite("goettsche-dim", "n_max")
 def suite_goettsche(n_max: int = 6, e_values=(4, 6)) -> Iterator[Case]:
     """Monomial counts per bidegree match the product generating function."""
     for e in e_values:
@@ -357,7 +367,7 @@ def suite_goettsche(n_max: int = 6, e_values=(4, 6)) -> Iterator[Case]:
 
 # -- line bundle Chern classes ---------------------------------------------
 
-@_suite("chern-line")
+@_suite("chern-line", "n_max")
 def suite_chern_line(
     n_max: int = 5, model_params=DEFAULT_MODELS
 ) -> Iterator[Case]:
@@ -377,7 +387,7 @@ def suite_chern_line(
 
 # -- affine plane ----------------------------------------------------------
 
-@_suite("affine")
+@_suite("affine", "gen_max")
 def suite_affine(
     gen_max: int = 8, bracket_weight: int = 6, seed: int = 7
 ) -> Iterator[Case]:
@@ -397,7 +407,7 @@ def suite_affine(
         return affine.WeightedPoly(data)
 
     polys = [random_poly() for _ in range(12)]
-    d_op, ch_op, mul_var = affine.d_op, affine.ch_op, affine.mul_var
+    d_op, ch_op, mul_var, qd = affine.d_op, affine.ch_op, affine.mul_var, affine.q_derivative
     # [D(n,nu), D(m,mu)] = (nu m - mu n) D(n+m, nu+mu-1)
     pairs = [
         ((1, 1), (2, 1)),
@@ -418,13 +428,9 @@ def suite_affine(
     for p in polys[:6]:
         for n in (1, 2, 3):
             for nu in (1, 2, 3):
-
-                def prev(x):  # q_n^{(nu-1)}, by the identity under test
-                    return d_op(n, nu - 1, x).scale(Q(-n) ** (nu - 1))
-
-                cur = affine.boundary(prev(p)) - prev(affine.boundary(p))
-                want = d_op(n, nu, p).scale(Q(-n) ** nu)
-                yield cur, want, {"relation": "qderiv", "n": n, "nu": nu}
+                # q_n^{(nu-1)} by the identity under test
+                cur = affine.boundary(qd(n, nu - 1, p)) - qd(n, nu - 1, affine.boundary(p))
+                yield cur, qd(n, nu, p), {"relation": "qderiv", "n": n, "nu": nu}
     # [ch_nu, q_m] = (-1)^nu / nu! * m * D(m, nu)
     for p in polys[:6]:
         for nu in (0, 1, 2, 3):
@@ -486,25 +492,6 @@ def suite_worked_example(sampler: Optional[Sampler] = None) -> Iterator[Case]:
     yield poly, want, {"stage": "polynomial", "got": poly.render()}
 
 
-#: name -> (suite function, the keyword that ``max_n`` sets or None,
-#: largest ``max_n`` accepted or None).  A suite takes a seed when its
-#: function has a ``seed`` parameter.  e-op checks every basis vector up to
-#: its weight and the basis roughly triples per unit of weight; weight 4
-#: (its default) already takes tens of seconds.
-SUITES: Dict[str, Tuple[Callable[..., dict], Optional[str], Optional[int]]] = {
-    "oscillator": (suite_oscillator, "max_n", None),
-    "virasoro": (suite_virasoro, "max_n", None),
-    "derivative": (suite_derivative, "max_n", None),
-    "e-op": (suite_e_op, "max_weight", 4),
-    "vertex-integral": (suite_vertex_integral, "n_max", None),
-    "goettsche-dim": (suite_goettsche, "n_max", None),
-    "chern-line": (suite_chern_line, "n_max", None),
-    "pairing": (suite_pairing, "n_max", None),
-    "affine": (suite_affine, "gen_max", None),
-    "worked-example": (suite_worked_example, None, None),
-}
-
-
 def run_suite(name: str, max_n: Optional[int] = None, seed: Optional[int] = None) -> dict:
     """Run one verification suite by name with optional size/seed overrides.
 
@@ -512,23 +499,21 @@ def run_suite(name: str, max_n: Optional[int] = None, seed: Optional[int] = None
     above the suite's largest one or for a size or seed that the suite does
     not take.
     """
-    if name not in SUITES:
+    suite = SUITES.get(name)
+    if suite is None:
         raise UnknownSuite("unknown suite: %r" % name)
-    func, size_kwarg, largest = SUITES[name]
     kwargs = {}
     if max_n is not None:
-        if size_kwarg is None:
+        if suite.size is None:
             raise ValueError("suite %r takes no size" % name)
-        if largest is not None and max_n > largest:
+        if suite.largest is not None and max_n > suite.largest:
             raise ValueError(
                 "max_n %d exceeds the largest size of suite %r (%d)"
-                % (max_n, name, largest)
+                % (max_n, name, suite.largest)
             )
-        kwargs[size_kwarg] = max_n
+        kwargs[suite.size] = max_n
     if seed is not None:
-        from inspect import signature  # here: it adds ~10 ms to a CLI start
-
-        if "seed" not in signature(func).parameters:
+        if not suite.seeded:
             raise ValueError("suite %r takes no seed" % name)
         kwargs["seed"] = seed
-    return func(**kwargs)
+    return suite(**kwargs)

@@ -40,3 +40,10 @@ def engine_rational():
 def sampler():
     """Shared in-memory sample cache so chains are computed once per run."""
     return Sampler()
+
+
+@pytest.fixture(autouse=True)
+def no_user_cache(monkeypatch):
+    """The command line defaults ``--cache`` to ``$HILB_CACHE``; a user's
+    cache must not reach the tests, which set the variable themselves."""
+    monkeypatch.delenv("HILB_CACHE", raising=False)

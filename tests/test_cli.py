@@ -78,7 +78,7 @@ def test_dm_table(capsys):
 def test_dm_cross_checks_the_fit(capsys, monkeypatch):
     # past m = 5 the linear fit also gives d_1..d_5, which must equal the
     # ones from the symbolic N_n: a wrong fitted d_3 fails its row
-    def wrong_fit(m_max, sampler, jobs):
+    def wrong_fit(m_max, sampler):
         fitted = [UnivPoly()] + [KNOWN_DM[m] for m in range(1, m_max + 1)]
         fitted[3] = fitted[3] + KNOWN_DM[1]
         return fitted
@@ -265,19 +265,31 @@ def test_out_of_range_sizes_are_usage_errors(capsys, argv):
     assert out == ""
 
 
+def test_cache_env_var(capsys, monkeypatch, tmp_path):
+    # $HILB_CACHE is the default of --cache
+    path = tmp_path / "env_cache.jsonl"
+    monkeypatch.setenv("HILB_CACHE", str(path))
+    code, _ = run_cli(capsys, "conjecture", "--n-max", "1")
+    assert code == 0 and path.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["segre", "--n", "2", "--symbolic"], ["dm", "--max-m", "2"], ["conjecture", "--n-max", "2"]],
     ids=["segre-symbolic", "dm", "conjecture"],
 )
-@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+@pytest.mark.parametrize("where", ["directory", "missing-directory", "env-directory"])
 def test_unusable_cache_path_is_refused_before_sampling(capsys, monkeypatch, tmp_path, argv, where):
     def no_sampling(*args, **kwargs):
         raise AssertionError("segre_series was called")
 
     monkeypatch.setattr(segre, "segre_series", no_sampling)
-    path = tmp_path if where == "directory" else tmp_path / "missing" / "cache.jsonl"
-    code = main(argv + ["--cache", str(path)])
+    path = tmp_path / "missing" / "cache.jsonl" if where == "missing-directory" else tmp_path
+    if where == "env-directory":
+        monkeypatch.setenv("HILB_CACHE", str(path))
+    else:
+        argv = argv + ["--cache", str(path)]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

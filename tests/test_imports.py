@@ -1,4 +1,5 @@
-"""Every module of the package and of its tests uses each name it imports."""
+"""Every module of the package and of its tests uses each name it imports,
+and the package reads or exports each function and class it defines."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,34 @@ def test_exports_match_all():
         if isinstance(target, ast.Name)
     }
     assert imported == set(hilbfock.__all__) - defined
+
+
+def _unread_definitions(paths, exported):
+    """Module-level functions and classes of ``paths`` whose name no
+    module reads, as ``module.name``.  A name is read when it occurs as a
+    ``Name``, as the attribute of an ``Attribute`` or in an import; a
+    decorated definition is read by its decorator."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in paths}
+    read = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                read.update(alias.name for alias in node.names)
+    return sorted(
+        "%s.%s" % (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.decorator_list
+        and node.name not in read
+    )
+
+
+def test_no_unread_definitions():
+    import hilbfock
+
+    assert _unread_definitions(sorted(_SRC.glob("*.py")), hilbfock.__all__) == []

@@ -1,7 +1,6 @@
 """The sparse combination algebra shared by classes, vectors and polynomials."""
 
 from fractions import Fraction as Q
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from hilbfock import CohClass, FockVector, UnivPoly, new_model
 from hilbfock.affine import WeightedPoly
 from hilbfock.fock import monomials
-from hilbfock.linear import int_combine, int_vec
 
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -58,22 +56,3 @@ def test_weighted_poly_repr():
     p = WeightedPoly({((1, 2),): 1, ((2, 1),): Q(-1, 2), (): 3})
     assert repr(p) == "WeightedPoly(3 + q1^2 - 1/2*q2)"
     assert repr(WeightedPoly()) == "WeightedPoly(0)"
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.tuples(_coeffs, st.dictionaries(st.integers(0, 5), _coeffs, max_size=4)),
-        max_size=4,
-    )
-)
-def test_integer_combination_is_the_rational_one(parts):
-    num, den = int_combine((c, int_vec(v)) for c, v in parts)
-    want = {}
-    for c, v in parts:
-        for k, x in v.items():
-            want[k] = want.get(k, 0) + c * x
-    want = {k: x for k, x in want.items() if x}
-    assert {k: Q(x, den) for k, x in num.items()} == want
-    # reduced: no zero numerator and no content common with the denominator
-    assert all(num.values()) and gcd(den, *num.values()) == 1

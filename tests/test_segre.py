@@ -301,12 +301,13 @@ def test_cache_version_mismatch_ignored(tmp_path):
     assert s.value(2, (Q(1), Q(0), Q(-1), 0)) == Q(-2)
 
 
-def test_cache_env_var(tmp_path, monkeypatch):
+def test_sampler_reads_no_environment(tmp_path, monkeypatch):
+    # HILB_CACHE is the command line's default of --cache, not the library's
     path = str(tmp_path / "env_cache.jsonl")
     monkeypatch.setenv("HILB_CACHE", path)
     s = Sampler()
     s.value(1, (Q(1), Q(0), Q(-1), 0))
-    assert os.path.exists(path)
+    assert s.cache_path is None and not os.path.exists(path)
 
 
 @pytest.mark.parametrize(
@@ -343,8 +344,14 @@ def test_cache_counts_corrupt_lines(tmp_path):
         fh.write(json.dumps(dict(good, value="-2/1"))[:25] + "\n")  # truncated
         fh.write(json.dumps(good) + "\n")  # no value
         fh.write("[2, 1]\n")  # not a record
+        # n and b2_extra that int() would read as N_2 at b2 = 0, N_1, N_2 and
+        # b2 = 0: each must be a JSON integer
+        fh.write(json.dumps(dict(good, n=2.7, b2_extra=0.9, value="5/1")) + "\n")
+        fh.write(json.dumps(dict(good, n=True, value="5/1")) + "\n")
+        fh.write(json.dumps(dict(good, n="2", value="5/1")) + "\n")
+        fh.write(json.dumps(dict(good, b2_extra=0.0, value="5/1")) + "\n")
     s = Sampler(path)
-    assert s.corrupt_lines == 3
+    assert s.corrupt_lines == 7
     assert s._mem == {(2, (Q(1), Q(0), Q(-1), 0)): Q(-2)}
 
 
@@ -475,9 +482,9 @@ def test_pool_has_no_more_workers_than_missing_samples(monkeypatch):
             return [func(x) for x in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    sampler = Sampler()
+    sampler = Sampler(jobs=64)
     grid = sample_grid(2, 3)
-    sampler.fill(2, grid, 64)
+    sampler.fill(2, grid)
     assert sizes == [3]
     for params in grid:
         assert sampler.series(2, params) == segre_series(2, new_model(*params))
