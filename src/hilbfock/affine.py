@@ -2,21 +2,28 @@
 
 Here the Fock space is the polynomial ring in variables q_1, q_2, ...,
 graded by weight(q_m) = m.  The scaled partial derivative del_m is m times
-the derivative in q_m, and for n + nu >= 1 the basic operators are
+the derivative in q_m, and the basic operators are
 
     D(n, nu) = sum over ordered nu-tuples (n_1, .., n_nu) of positive
                integers of q_{n + n_1 + .. + n_nu} del_{n_1} .. del_{n_nu},
 
-with D(n, 0) = multiplication by q_n (n >= 1) and D(0, 0) = 0.  The
-boundary operator is -D(0, 2)/2, and the degree-nu component of the Chern
-character operator of the rank-one tautological sheaf is
-(-1)^nu D(0, nu+1) / (nu+1)!.
+less the terms whose index n + n_1 + .. + n_nu is below 1.  On a monomial
+M = prod q_i^(p_i), the nu!/prod s_i! orders that take s_i factors q_i
+out of M each weigh prod i^(s_i) p_i!/(p_i - s_i)!, so
+
+    D(n, nu) M = nu! sum over 0 <= s_i <= p_i with sum s_i = nu of
+                 prod C(p_i, s_i) i^(s_i) q_{n + sum i s_i} prod q_i^(p_i - s_i).
+
+D(n, 0) is multiplication by q_n for n >= 1, and D(0, 0) = 0.  The boundary
+operator is -D(0, 2)/2, the iterated boundary derivative q_n^(nu) is
+(-n)^nu D(n, nu), and the degree-nu component of the Chern character
+operator of the rank-one tautological sheaf is (-1)^nu D(0, nu+1) / (nu+1)!.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Dict, Optional, Tuple
 
 from .linear import Combination, axpy, rat, render_sum
@@ -60,22 +67,10 @@ class WeightedPoly(Combination):
         )
 
 
-def mono_weight(M: Mono) -> int:
-    return sum(i * p for i, p in M)
-
-
 def mono_mul_var(M: Mono, m: int) -> Mono:
-    out = []
-    done = False
-    for i, p in M:
-        if i == m:
-            out.append((i, p + 1))
-            done = True
-        else:
-            out.append((i, p))
-    if not done:
-        out.append((m, 1))
-    return tuple(sorted(out))
+    out = dict(M)
+    out[m] = out.get(m, 0) + 1
+    return tuple(sorted(out.items()))
 
 
 def mul_var(m: int, p: WeightedPoly) -> WeightedPoly:
@@ -85,57 +80,30 @@ def mul_var(m: int, p: WeightedPoly) -> WeightedPoly:
     )
 
 
-def partial(m: int, terms: Dict[Mono, Q]) -> Dict[Mono, Q]:
-    """The scaled derivative del_m = m * d/dq_m on a term dictionary."""
-    out: Dict[Mono, Q] = {}
-    for M, c in terms.items():
-        for j, (i, p) in enumerate(M):
-            if i != m:
-                continue
-            if p == 1:
-                M2 = M[:j] + M[j + 1:]
-            else:
-                M2 = M[:j] + ((i, p - 1),) + M[j + 1:]
-            out[M2] = out.get(M2, Q(0)) + c * m * p
-    return {M: c for M, c in out.items() if c}
+def _takes(M: Mono, nu: int):
+    """Each way of taking nu factors out of M, s_i of them from q_i^(p_i),
+    as (sum of i s_i, nu! prod of C(p_i, s_i) i^(s_i), the rest of M)."""
+    ways = [(0, 0, factorial(nu), ())]
+    for i, p in M:
+        ways = [
+            (k + s, w + i * s, c * comb(p, s) * i**s, rest + (((i, p - s),) if s < p else ()))
+            for k, w, c, rest in ways
+            for s in range(min(p, nu - k) + 1)
+        ]
+    return [(w, c, rest) for k, w, c, rest in ways if k == nu]
 
 
 def d_op(n: int, nu: int, p: WeightedPoly) -> WeightedPoly:
-    """Apply D(n, nu)."""
+    """Apply D(n, nu) by its closed formula on each monomial."""
     if nu < 0 or (n + nu) < 0:
         raise ValueError("need nu >= 0 and n + nu >= 0")
-    if nu == 0:
-        if n == 0:
-            return WeightedPoly()
-        if n < 0:
-            raise ValueError("D(n, 0) needs n >= 1")
-        return mul_var(n, p)
-    # layer s -> result of removing total weight s with nu derivatives
-    layers: Dict[int, Dict[Mono, Q]] = {0: dict(p.terms)}
-    for _ in range(nu):
-        new: Dict[int, Dict[Mono, Q]] = {}
-        for s, terms in layers.items():
-            indices = set()
-            for M in terms:
-                for i, _ in M:
-                    indices.add(i)
-            for m in indices:
-                part = partial(m, terms)
-                if part:
-                    tgt = new.setdefault(s + m, {})
-                    for M, c in part.items():
-                        tgt[M] = tgt.get(M, Q(0)) + c
-        layers = {
-            s: {M: c for M, c in terms.items() if c}
-            for s, terms in new.items()
-        }
-    out = WeightedPoly()
-    for s, terms in layers.items():
-        if n + s >= 1:
-            out = out + mul_var(n + s, WeightedPoly(terms))
-        # n + s == 0 would need the (undefined) variable q_0; with nu >= 1
-        # and positive derivative indices this happens only for n < 0.
-    return out
+    out: Dict[Mono, Q] = {}
+    for M, c in p.terms.items():
+        for w, f, rest in _takes(M, nu):
+            if n + w >= 1:
+                N = mono_mul_var(rest, n + w)
+                out[N] = out.get(N, 0) + c * f
+    return WeightedPoly(out)
 
 
 def boundary(p: WeightedPoly) -> WeightedPoly:
@@ -184,9 +152,7 @@ def generation_check(n: int) -> Tuple[int, bool]:
     """
     if n < 1:
         return (1, True)
-    start = WeightedPoly.variable(1) if n == 1 else WeightedPoly(
-        {((1, n),): 1}
-    )
+    start = WeightedPoly.variable(1, n)
     basis: Dict[Mono, Dict[Mono, Q]] = {}
     red, piv = _reduce(start.terms, basis)
     basis[piv] = red

@@ -256,6 +256,7 @@ def _cmd_dm(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     _check_weight(args.n_max, args.max_weight)
+    new_model(args.d, args.pi, args.kappa, args.b2_extra)  # refused even when cached
     sampler = Sampler(args.cache)
     params = (args.d, args.pi, args.kappa, args.b2_extra)
     rows = check_conjecture(args.n_max, params, sampler)

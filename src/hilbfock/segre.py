@@ -161,13 +161,14 @@ class Sampler:
     rewritten with a fresh header before the first new record, so that new
     records are not appended below the stale header and lost on reload.
     Record lines that do not decode to a complete record, with JSON
-    integers for ``n`` and ``b2_extra``, are skipped and counted in
-    ``corrupt_lines``.  Each append holds an exclusive ``flock`` on the
-    file and checks the header under it, so several processes may share
-    one cache file.  The sampler reads no environment variable.  A path
-    that is a directory, or whose directory does not exist, is refused
-    with ValueError before anything is sampled.  ``jobs`` bounds the
-    number of worker processes of :meth:`fill`.
+    integers for ``n`` and ``b2_extra`` and JSON strings for the rationals,
+    are skipped and counted in ``corrupt_lines``; a byte that is not UTF-8
+    spoils only its own line.  Each append holds an exclusive ``flock`` on
+    the file and checks the header under it, so several processes may
+    share one cache file.  The sampler reads no environment variable.  A
+    path that is a directory, or whose directory does not exist, is
+    refused with ValueError before anything is sampled.  ``jobs`` bounds
+    the number of worker processes of :meth:`fill`.
     """
 
     def __init__(self, cache_path: Optional[str] = None, jobs: int = 1):
@@ -190,7 +191,7 @@ class Sampler:
         path = self.cache_path
         if not path or not os.path.exists(path):
             return
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
             lines = fh.read().splitlines()
         if not lines or not _is_header(lines[0]):
@@ -202,14 +203,16 @@ class Sampler:
         for ln in filter(str.strip, lines[1:]):
             try:
                 rec = json.loads(ln)
-                n, b2 = rec["n"], rec["b2_extra"]
-                if type(n) is not int or type(b2) is not int:  # not int(): 2.7 or true
-                    raise TypeError("n and b2_extra must be JSON integers")
+                n, b2, value = rec["n"], rec["b2_extra"], rec["value"]
                 raw = (rec["d"], rec["pi"], rec["kappa"], b2)
+                # not int() or Q(): they would read 2.7, true or 0.1 as numbers
+                t_d, t_pi, t_kappa = map(type, raw[:3])
+                if not (type(n) is type(b2) is int and t_d is t_pi is t_kappa is type(value) is str):
+                    raise TypeError("need JSON integers n and b2_extra, and strings")
                 params = parsed.get(raw)
                 if params is None:
                     params = parsed[raw] = (Q(raw[0]), Q(raw[1]), Q(raw[2]), b2)
-                self._mem[(n, params)] = Q(rec["value"])
+                self._mem[(n, params)] = Q(value)
             except (KeyError, TypeError, ValueError, ArithmeticError):
                 self.corrupt_lines += 1
             else:
@@ -223,7 +226,7 @@ class Sampler:
         path = self.cache_path
         if not path:
             return
-        with open(path, "a+") as fh:
+        with open(path, "a+", errors="replace") as fh:
             # the header is read under the lock, so that of two processes
             # appending to one new or stale file only the first rewrites it
             fcntl.flock(fh, fcntl.LOCK_EX)

@@ -1,9 +1,10 @@
+import random
+from collections import Counter
 from fractions import Fraction as Q
 from math import factorial
 
 import pytest
 
-from hilbfock import affine
 from hilbfock.affine import (
     WeightedPoly,
     boundary,
@@ -53,7 +54,90 @@ def test_d_op_weight_shift():
     for n, nu in [(1, 1), (2, 2), (0, 3), (-1, 2)]:
         got = d_op(n, nu, p)
         for M in got.terms:
-            assert affine.mono_weight(M) == 5 + n
+            assert sum(i * e for i, e in M) == 5 + n
+
+
+def _partial_reference(m, terms):
+    """The scaled derivative del_m = m * d/dq_m on a term dictionary."""
+    out = {}
+    for M, c in terms.items():
+        for j, (i, p) in enumerate(M):
+            if i != m:
+                continue
+            if p == 1:
+                M2 = M[:j] + M[j + 1:]
+            else:
+                M2 = M[:j] + ((i, p - 1),) + M[j + 1:]
+            out[M2] = out.get(M2, Q(0)) + c * m * p
+    return {M: c for M, c in out.items() if c}
+
+
+def _d_op_reference(n, nu, p):
+    """Reference D(n, nu): nu rounds of single scaled derivatives, each
+    round keeping one term dictionary per total weight taken out so far,
+    then multiplication by q_(n + that weight)."""
+    if nu < 0 or (n + nu) < 0:
+        raise ValueError("need nu >= 0 and n + nu >= 0")
+    if nu == 0:
+        return WeightedPoly() if n == 0 else mul_var(n, p)
+    # layer s -> result of removing total weight s with nu derivatives
+    layers = {0: dict(p.terms)}
+    for _ in range(nu):
+        new = {}
+        for s, terms in layers.items():
+            for m in {i for M in terms for i, _ in M}:
+                part = _partial_reference(m, terms)
+                if part:
+                    tgt = new.setdefault(s + m, {})
+                    for M, c in part.items():
+                        tgt[M] = tgt.get(M, Q(0)) + c
+        layers = {s: {M: c for M, c in t.items() if c} for s, t in new.items()}
+    out = WeightedPoly()
+    for s, terms in layers.items():
+        # n + s < 1 would need a variable q_(n + s) that does not exist
+        if n + s >= 1:
+            out = out + mul_var(n + s, WeightedPoly(terms))
+    return out
+
+
+def _monomials(w_max):
+    """Every monomial of weight <= w_max, the empty one included."""
+
+    def parts(w, top):
+        if w == 0:
+            yield ()
+        for i in range(min(w, top), 0, -1):
+            for rest in parts(w - i, i):
+                yield (i,) + rest
+
+    return [tuple(sorted(Counter(ps).items())) for w in range(w_max + 1) for ps in parts(w, w)]
+
+
+def _d_op_or_error(n, nu, p, op):
+    try:
+        return op(n, nu, p)
+    except ValueError:
+        return ValueError
+
+
+def test_d_op_matches_the_layered_reference():
+    # the closed formula against nu rounds of single derivatives, on each
+    # monomial of weight <= 6 and on their sum, with seeded coefficients;
+    # both raise ValueError on the same (n, nu)
+    rng = random.Random(5)
+    monos = _monomials(6)
+    assert len(monos) == 30
+    polys = [WeightedPoly({M: Q(rng.randint(-9, 9) or 1, rng.randint(1, 7))}) for M in monos]
+    polys.append(WeightedPoly({M: Q(rng.randint(-9, 9), rng.randint(1, 7)) for M in monos}))
+    errors = set()
+    for p in polys:
+        for n in range(-3, 5):
+            for nu in range(6):
+                want = _d_op_or_error(n, nu, p, _d_op_reference)
+                assert _d_op_or_error(n, nu, p, d_op) == want, (p, n, nu)
+                if want is ValueError:
+                    errors.add((n, nu))
+    assert errors == {(-3, 0), (-3, 1), (-3, 2), (-2, 0), (-2, 1), (-1, 0)}
 
 
 def test_commutation_relation():

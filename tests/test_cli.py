@@ -265,6 +265,25 @@ def test_out_of_range_sizes_are_usage_errors(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "point, code",
+    [(["1", "1", "1", "0"], 3), (["1", "0", "-1", "-1"], 2)],
+    ids=["degenerate", "negative-b2-extra"],
+)
+def test_conjecture_refuses_a_cached_point(capsys, tmp_path, point, code):
+    # the model is checked before the cache is read, so the exit code does
+    # not depend on whether the cache holds N_0..N_2 at the point
+    path = tmp_path / "cache.jsonl"
+    d, pi, kappa, b2 = point
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"engine_version": ENGINE_VERSION}) + "\n")
+        for n in range(3):
+            rec = {"n": n, "d": d, "pi": pi, "kappa": kappa, "b2_extra": int(b2), "value": "1/1"}
+            fh.write(json.dumps(rec) + "\n")
+    argv = ["conjecture", "--n-max", "2", "--d", d, "--pi", pi, "--kappa", kappa]
+    assert run_cli(capsys, *argv, "--b2-extra", b2, "--cache", str(path)) == (code, "")
+
+
 def test_cache_env_var(capsys, monkeypatch, tmp_path):
     # $HILB_CACHE is the default of --cache
     path = tmp_path / "env_cache.jsonl"

@@ -312,13 +312,18 @@ def test_sampler_reads_no_environment(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "header",
-    [json.dumps({"engine_version": "0.0.0"}), "not json"],
-    ids=["other-version", "unreadable"],
+    [
+        json.dumps({"engine_version": "0.0.0"}).encode(),
+        b"not json",
+        # this engine's version but for one byte that is not UTF-8
+        json.dumps({"engine_version": ENGINE_VERSION}).encode()[:-2] + b"\xff\"}",
+    ],
+    ids=["other-version", "unreadable", "not-utf8"],
 )
 def test_stale_cache_is_rewritten(tmp_path, header):
     path = str(tmp_path / "cache.jsonl")
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header + b"\n")
     s1 = Sampler(path)
     assert not s1._mem
     points = [
@@ -350,9 +355,19 @@ def test_cache_counts_corrupt_lines(tmp_path):
         fh.write(json.dumps(dict(good, n=True, value="5/1")) + "\n")
         fh.write(json.dumps(dict(good, n="2", value="5/1")) + "\n")
         fh.write(json.dumps(dict(good, b2_extra=0.0, value="5/1")) + "\n")
+        # rationals that Fraction() would read as 1, 1, 0 and 3602879701896397/
+        # 36028797018963968: each must be a JSON string
+        fh.write(json.dumps(dict(good, value=True)) + "\n")
+        fh.write(json.dumps(dict(good, d=True, value="5/1")) + "\n")
+        fh.write(json.dumps(dict(good, pi=0, value="5/1")) + "\n")
+        fh.write(json.dumps(dict(good, value=0.1)) + "\n")
+    with open(path, "ab") as fh:
+        # a byte that is not UTF-8 spoils its own line only
+        fh.write(json.dumps(dict(good, value="5/1")).encode()[:-2] + b"\xff}\n")
+        fh.write(json.dumps(dict(good, n=3, value="7/1")).encode() + b"\n")
     s = Sampler(path)
-    assert s.corrupt_lines == 7
-    assert s._mem == {(2, (Q(1), Q(0), Q(-1), 0)): Q(-2)}
+    assert s.corrupt_lines == 12
+    assert s._mem == {(2, (Q(1), Q(0), Q(-1), 0)): Q(-2), (3, (Q(1), Q(0), Q(-1), 0)): Q(7)}
 
 
 def test_cache_load_counts_every_bad_line_of_a_point(tmp_path):
