@@ -39,9 +39,10 @@ id i, an integer column keyed by ids that a module fill function computes
 on the first lookup; the boundary columns D are one table keyed by id.  A
 column holds numerators over the one denominator its formula implies.
 With ``_qden`` the lcm of the denominators of the pairings <s, t> and
-``_den`` the model denominator of D, a q column is over ``_qden``, and the
-L, e and q' columns, built from a cut-table entry c/2 and two oscillators,
-are over ``_Lden = _den * _qden**2``.  Monomial tuples and ``Fraction``s
+``_den`` the model denominator of D, a q column is over ``_qden``, the L
+and e columns, built from a cut-table entry c/2 and two oscillators, are
+over ``_Lden = _den * _qden**2``, and a q' column, [D, q_n(s)] read from
+the q and D tables, is over ``_den * _qden``.  Monomial tuples and ``Fraction``s
 appear only at the public operators, which convert a :class:`FockVector`
 in and out once per call.
 The higher derivatives ad^nu(q_n) and the Chern class operators act on
@@ -188,14 +189,12 @@ def _pairs(q: _Family, cut, monos, sign: int, m: int, sym: str, i: int) -> Colum
     return {N: x for N, x in raw.items() if x}
 
 
-def _qprime_column(q, L, kterm, qden, n: int, sym: str, i: int) -> Column:
-    """q'_n(sym) M = n L_n(sym) M + n(|n|-1)/2 k q_n(t) M, K.sym = k t,
-    over _Lden; the K table of D holds k/2 over _den."""
-    raw = {N: n * x for N, x in L[n, sym][i].items()}
-    for k, t in kterm[sym] if abs(n) > 1 else ():
-        f = n * (abs(n) - 1) * k * qden
-        for N, y in q[n, t][i].items():
-            raw[N] = raw.get(N, 0) + f * y
+def _commutator_column(q: _Family, b: _Table, n: int, sym: str, i: int) -> Column:
+    """q'_n(sym) = [D, q_n(sym)] on the monomial M of id i, over
+    _den * _qden: D q_n(sym) M - q_n(sym) D M, from the q and D tables."""
+    col = q[n, sym]
+    raw = int_apply({}, b.__getitem__, col[i])
+    int_apply(raw, col.__getitem__, b[i], -1)
     return {N: x for N, x in raw.items() if x}
 
 
@@ -266,13 +265,13 @@ class OperatorEngine:
             {(s, t): model.pair_sym(s, t) for s in syms for t in syms}
         )
         self._qden, self._Lden = qden, self._den * qden**2
-        # the column tables, over _qden (q), _Lden (L, e, q') and _den (D)
-        cut, kterm, Lden = self._cut, self._kterm, self._Lden
+        # the column tables, over _qden (q), _Lden (L, e), _den (D), _den * _qden (q')
+        cut, join, kterm = self._cut, self._join, self._kterm
         q = self._q_cache = _Family(partial(_q_column, ids, monos, ins, self._pair, qden), qden)
-        L = self._L_cache = _Family(partial(_pairs, q, cut, monos, 1), Lden)
-        self._e_cache = _Family(partial(_pairs, q, cut, monos, -1), Lden)
-        self._qp_cache = _Family(partial(_qprime_column, q, L, kterm, qden), Lden)
-        self._b_cache = _Table(partial(_boundary_column, ids, monos, ins, cut, self._join, kterm))
+        self._L_cache = _Family(partial(_pairs, q, cut, monos, 1), self._Lden)
+        self._e_cache = _Family(partial(_pairs, q, cut, monos, -1), self._Lden)
+        b = self._b_cache = _Table(partial(_boundary_column, ids, monos, ins, cut, join, kterm))
+        self._qp_cache = _Family(partial(_commutator_column, q, b), self._den * qden)
         # Always empty: higher derivatives are not memoized per monomial. It
         # stays because perfbench/probes.py reads every cache attribute.
         self._qd_cache: Dict[Tuple[int, int, str, int], Column] = {}
@@ -456,8 +455,8 @@ class OperatorEngine:
     ) -> FockVector:
         """The order-th derivative of q_n(a): iterated boundary commutator.
 
-        Order 1 is Lehn's commutator rule, memoized per monomial; higher
-        orders come from :meth:`q_derivatives`.
+        Order 1 is the commutator [D, q_n(a)], memoized per monomial from
+        the q and D columns; higher orders come from :meth:`q_derivatives`.
         """
         if order < 0:
             raise ValueError("order must be nonnegative")

@@ -27,7 +27,7 @@ from .fock import integrate_hilb
 from .linear import Combination, q_str, rat, render_sum
 from .operators import OperatorEngine
 from .series import PowerSeries, conjecture_series
-from .surface import CohClass, KClassSpec, SurfaceModel, new_model
+from .surface import KClassSpec, SurfaceModel, new_model
 
 Q = Fraction
 
@@ -115,11 +115,6 @@ def support_monomials(n: int) -> List[Expo]:
 
 # -- direct computation ----------------------------------------------------
 
-def _alpha_class(model: SurfaceModel) -> CohClass:
-    # Total Chern class of -O(H): 1 - h + d*pt.
-    return CohClass({"1": 1, "h": -1, "pt": model.d})
-
-
 def minus_polarization(model: SurfaceModel) -> KClassSpec:
     """The K-class -[O(H)] whose tautological sheaf carries the Segre data."""
     return KClassSpec.line_bundle(model.h_class()).negate(model)
@@ -193,7 +188,9 @@ class Sampler:
             return
         with open(path, errors="replace") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
-            lines = fh.read().splitlines()
+            # not splitlines(): it also breaks at U+2028, U+0085 and the like,
+            # which a record may hold unescaped
+            lines = fh.read().split("\n")
         if not lines or not _is_header(lines[0]):
             return
         # each point is stored once per n; its strings are parsed once, and

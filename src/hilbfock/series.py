@@ -135,23 +135,6 @@ class PowerSeries:
             raise InvalidConstantTerm("pow needs constant term one")
         return self.log().scale(rat(a)).exp()
 
-    def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse; needs a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise InvalidConstantTerm("inverse needs nonzero constant term")
-        N = self.order
-        out = [Q(0)] * (N + 1)
-        out[0] = 1 / c0
-        for n in range(1, N + 1):
-            s = Q(0)
-            for k in range(1, n + 1):
-                fk = self.coefficient(k)
-                if fk:
-                    s += fk * out[n - k]
-            out[n] = -s / c0
-        return PowerSeries(out)
-
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """Substitute ``inner`` (constant term zero) into this series."""
         if inner.coeffs[0] != 0:

@@ -25,13 +25,7 @@ from . import affine, fock
 from .fock import FockVector, mono_degree, mono_weight, pairing, vacuum
 from .linear import int_apply, int_vec
 from .operators import OperatorEngine
-from .segre import (
-    Sampler,
-    UnivPoly,
-    _alpha_class,
-    minus_polarization,
-    segre_polynomial,
-)
+from .segre import Sampler, UnivPoly, minus_polarization, segre_polynomial
 from .surface import CohClass, KClassSpec, new_model
 
 Q = Fraction
@@ -251,10 +245,12 @@ def suite_derivative(
     sample: int = 60,
     model_params=DEFAULT_MODELS,
 ) -> Iterator[Case]:
-    """The commutator of derivatives of oscillators, with the K-correction:
+    """The commutator of derivatives of oscillators, with the K-correction,
 
-    [q_n'(a), q_m(b)] = -n m (q_{n+m}(ab) + (|n|-1)/2 delta_{n+m} (K a b) id)
-    """
+    [q_n'(a), q_m(b)] = -n m (q_{n+m}(ab) + (|n|-1)/2 delta_{n+m} (K a b) id),
+
+    and Lehn's rule q_n'(a) = n L_n(a) + n(|n|-1)/2 q_n(K a) for q_n' = [D, q_n],
+    on every basis monomial M with wt(M) + max(n, 1) <= max_weight."""
     idx = [i for i in range(-max_n, max_n + 1) if i != 0]
     for mp, model, eng in _engines(model_params):
         basis = fock.monomials(model, max_weight)
@@ -271,17 +267,21 @@ def suite_derivative(
             return -n * m, -Q(n * m) * Q(abs(n) - 1, 2) * kab
 
         vs = _unit_vectors(chosen, {"model": mp})
-        yield from _bracket(eng, vs, eng._qp_cache, eng._q_cache, idx, idx, rhs)
-        # Leibniz rule for the boundary operator on a sample of products
-        for _ in range(20):
-            M = rng.choice(basis)
-            n = rng.choice([1, 2, 3])
-            sym = rng.choice(model.symbols)
-            a = CohClass({sym: 1})
-            v = FockVector({M: 1})
-            lhs = eng.boundary(eng.q(n, a, v))
-            want = eng.q_derivative(n, 1, a, v) + eng.q(n, a, eng.boundary(v))
-            yield lhs, want, {"model": mp, "leibniz": True, "n": n, "a": sym}
+        qp, L, q = eng._qp_cache, eng._L_cache, eng._q_cache
+        yield from _bracket(eng, vs, qp, q, idx, idx, rhs)
+        # Lehn's rule: the residual times one common denominator
+        for n, sym in product(idx, model.symbols):
+            Ka = model.mul(K, CohClass({sym: 1})).terms
+            fs = [(qp[n, sym], Q(1, qp.den)), (L[n, sym], Q(-n, L.den))]
+            fs += [(q[n, t], Q(-n * (abs(n) - 1), 2 * q.den) * k) for t, k in Ka.items()]
+            den = lcm(*(f.denominator for _, f in fs))
+            for M in basis:
+                if mono_weight(M) + max(n, 1) <= max_weight:
+                    res, i = {}, eng._ids[M]
+                    for col, f in fs:
+                        int_apply(res, col.__getitem__, {i: int(f * den)})
+                    where = dict(model=mp, lehn=True, n=n, a=sym, monomial=list(M))
+                    yield any(res.values()), False, where
 
 
 # -- truncated quadratic operators -----------------------------------------
@@ -460,7 +460,7 @@ def suite_worked_example(sampler: Optional[Sampler] = None) -> Iterator[Case]:
     model = new_model(1, 0, -1, 0)
     eng = OperatorEngine(model)
     u = minus_polarization(model)
-    alpha = _alpha_class(model)
+    alpha = u.total_chern(model)
     powers = [model.unit()]
     for _ in range(6):
         powers.append(model.mul(powers[-1], alpha))

@@ -365,9 +365,15 @@ def test_cache_counts_corrupt_lines(tmp_path):
         # a byte that is not UTF-8 spoils its own line only
         fh.write(json.dumps(dict(good, value="5/1")).encode()[:-2] + b"\xff}\n")
         fh.write(json.dumps(dict(good, n=3, value="7/1")).encode() + b"\n")
+        # U+2028 and U+0085 are line breaks to str.splitlines(), not to the
+        # cache: a record holding one unescaped is one valid line
+        for n, brk in ((4, "\u2028"), (5, "\u0085")):
+            rec = dict(good, n=n, value="%d/1" % n, note="a%sb" % brk)
+            fh.write(json.dumps(rec, ensure_ascii=False).encode() + b"\n")
     s = Sampler(path)
     assert s.corrupt_lines == 12
-    assert s._mem == {(2, (Q(1), Q(0), Q(-1), 0)): Q(-2), (3, (Q(1), Q(0), Q(-1), 0)): Q(7)}
+    point = (Q(1), Q(0), Q(-1), 0)
+    assert s._mem == {(2, point): Q(-2), (3, point): Q(7), (4, point): Q(4), (5, point): Q(5)}
 
 
 def test_cache_load_counts_every_bad_line_of_a_point(tmp_path):

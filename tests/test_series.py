@@ -41,11 +41,6 @@ def test_pow_rational():
     assert f.pow(-1).coeffs == PowerSeries([1, -1, 1, -1, 1], 4).coeffs
 
 
-def test_inverse():
-    f = PowerSeries([1, 3, -2], 5)
-    assert (f * f.inverse()).coeffs == PowerSeries.one(5).coeffs
-
-
 def test_compose():
     f = PowerSeries([1, 0, 1], 4)  # 1 + z^2
     g = PowerSeries([0, 1, 1], 4)  # z + z^2

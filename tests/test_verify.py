@@ -62,9 +62,15 @@ def test_wrong_oscillator_fails(monkeypatch):
 
 
 def test_wrong_derivative_fails(monkeypatch):
-    monkeypatch.setattr(
-        operators, "_qprime_column", _wrong_at(operators._qprime_column, 2)
-    )
+    # D doubled on the monomials of weight 3; the q' columns are [D, q], so
+    # the bracket cases see it before Lehn's rule is checked
+    fill = operators._boundary_column
+
+    def wrong(ids, monos, *rest):
+        out = fill(ids, monos, *rest)
+        return {N: 2 * x for N, x in out.items()} if mono_weight(monos[rest[-1]]) == 3 else out
+
+    monkeypatch.setattr(operators, "_boundary_column", wrong)
     report = suite_derivative(
         max_n=2, max_weight=3, sample=5, model_params=ONE_MODEL
     )
@@ -73,7 +79,18 @@ def test_wrong_derivative_fails(monkeypatch):
     ce = report["counterexample"]
     assert set(ce) == {"model", "n", "m", "a", "b", "monomial"}
     assert ce["model"] == ONE_MODEL[0]
-    assert ce["n"] == 2
+
+
+def test_wrong_virasoro_fails_lehns_rule(monkeypatch):
+    # the q' columns do not read L, so only Lehn's rule sees a wrong L_2
+    monkeypatch.setattr(operators, "_pairs", _wrong_at(operators._pairs, 2))
+    report = suite_derivative(
+        max_n=2, max_weight=3, sample=5, model_params=ONE_MODEL
+    )
+    assert report["pass"] is False
+    ce = report["counterexample"]
+    assert set(ce) == {"model", "lehn", "n", "a", "monomial"}
+    assert ce["lehn"] is True and ce["n"] == 2
 
 
 def test_wrong_e_operator_fails(monkeypatch):
@@ -125,7 +142,10 @@ def test_derivative_check_count(small):
         max_n=2, max_weight=3, sample=5, model_params=ONE_MODEL
     )
     assert report["pass"] is True
-    assert report["checks"] == (low + 5) * 4 * 4 * pairs + 20  # and Leibniz
+    brackets = (low + 5) * 4 * 4 * pairs
+    # Lehn's rule on each n, basis class and M with wt(M) + max(n, 1) <= 3
+    lehn = sum(1 for n in (-2, -1, 1, 2) for M in basis if mono_weight(M) + max(n, 1) <= 3)
+    assert report["checks"] == brackets + lehn * len(model.symbols)
 
 
 def test_e_op_check_count(small):
