@@ -9,19 +9,11 @@ where L_n is the Virasoro operator built from the diagonal class and K is
 the canonical class of the surface.  Higher derivatives of operators are
 iterated commutators with the boundary.
 
-Unrolling that rule over a canonical monomial M = prod_i q_(n_i)(s_i)|0>
-gives the closed cut-and-join form
-
-    D M = sum_i [ n_i/2 sum_(c,s',s'') in delta(s_i) sum_(nu=1)^(n_i-1)
-                      c q_nu(s') q_(n_i-nu)(s'') M-{i}
-                  - sum_(j>i) n_i n_j sum_(c,s',s'') in delta(s_i)
-                      c <s'',s_j> q_(n_i+n_j)(s') M-{i,j}
-                  + n_i(n_i-1)/2 k_i q_(n_i)(t_i) M-{i} ],
-
-where M-{i} is M without its i-th factor and K.s_i = k_i t_i.  The cut,
-join and K coefficients are tabulated once per engine as integers over one
-model denominator, the lcm of the denominators of c/2, c <s'',t> and k/2,
-so D is filled in integers.
+D is filled from that characterization alone: for n >= 1 the rule is a cut
+and join of the new factor q_n(a) (:func:`_new_factor`), and D q_n(s) M' is
+q_n(s) D M' plus that term.  The cut, join and K coefficients are tabulated
+once per engine as integers over one model denominator, the lcm of the
+denominators of c/2, c <s'',t> and k/2, so D is filled in integers.
 
 L_n(a) is the normal-ordered pair sum of c q_(n-mu)(s') q_mu(s'') over
 (c, s', s'') in delta(a) and mu <= n/2 with mu, n-mu != 0, halved when
@@ -36,13 +28,14 @@ so no monomial tuple is hashed or rebuilt twice.  The oscillators q,
 Virasoro operators L, truncated operators e and first derivatives q' are
 families of tables, and ``fam[m, sym][i]`` is the image of the monomial of
 id i, an integer column keyed by ids that a module fill function computes
-on the first lookup; the boundary columns D are one table keyed by id.  A
-column holds numerators over the one denominator its formula implies.
-With ``_qden`` the lcm of the denominators of the pairings <s, t> and
-``_den`` the model denominator of D, a q column is over ``_qden``, the L
-and e columns, built from a cut-table entry c/2 and two oscillators, are
-over ``_Lden = _den * _qden**2``, and a q' column, [D, q_n(s)] read from
-the q and D tables, is over ``_den * _qden``.  Monomial tuples and ``Fraction``s
+on the first lookup (or, for q_m, m >= 1, a relabel formed on lookup and
+not stored); the boundary columns D are one table keyed by id.  A column
+holds numerators over the one denominator its formula implies.  With
+``_qden`` the lcm of the denominators of the pairings <s, t> and ``_den``
+the model denominator of D, a q column is over ``_qden``, the L and e
+columns, built from a cut-table entry c/2 and two oscillators, are over
+``_Lden = _den * _qden**2``, and a q' column, [D, q_n(s)], is over
+``_den * _qden``.  Monomial tuples and ``Fraction``s
 appear only at the public operators, which convert a :class:`FockVector`
 in and out once per call.
 The higher derivatives ad^nu(q_n) and the Chern class operators act on
@@ -58,6 +51,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import groupby
 from math import comb, factorial, inf, lcm
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .fock import FockVector, Monomial, mono_degree, mono_insert, mono_weight, vacuum
@@ -99,7 +93,6 @@ class _Table(dict):
     __slots__ = ("fill",)
 
     def __init__(self, fill: Callable):
-        super().__init__()
         self.fill = fill
 
     def __missing__(self, k):
@@ -107,19 +100,48 @@ class _Table(dict):
         return v
 
 
+class _Relabel(dict):
+    """The column table of a creation oscillator q_m(sym), k = (m, sym),
+    m >= 1: the column of id i is ``{ins[k][i]: den}``, formed on each
+    lookup and never stored, so the table stays empty."""
+
+    __slots__ = ("up", "den")
+
+    def __init__(self, ins: _Table, k, den: int):
+        self.up, self.den = ins[k], den
+
+    def __getitem__(self, i: int) -> Column:
+        return {self.up[i]: self.den}
+
+
 class _Family(_Table):
-    """One column table per (index, symbol): ``fam[m, sym][i]`` is
-    ``fill(m, sym, i)``, integer numerators over ``den``, filled on the
-    first lookup and kept.  Its len() is the number of columns held."""
+    """One table per (index, symbol): ``fam[m, sym][i]`` over ``den`` is
+    ``fill(m, sym, i)``, kept, or for m >= 1 and insertion tables
+    ``created`` a :class:`_Relabel` column.  len() counts columns held."""
 
     __slots__ = ("den",)
 
-    def __init__(self, fill: Callable, den: int):
-        super().__init__(lambda k: _Table(partial(fill, *k)))
+    def __init__(self, fill: Callable, den: int, created: Optional[_Table] = None):
+        def table(k):
+            if created is not None and k[0] > 0:
+                return _Relabel(created, k, den)
+            return _Table(partial(fill, *k))
+
+        super().__init__(table)
         self.den = den
 
     def __len__(self):
         return sum(map(len, self.values()))
+
+
+class _SelfTable(_Table):
+    """A :class:`_Table` whose fill takes the table: ``fill(table, k)``."""
+
+    __slots__ = ()
+
+    def __missing__(self, k):
+        v = self[k] = self.fill(self, k)
+        return v
 
 
 def _boundary_tables(model: SurfaceModel):
@@ -155,11 +177,13 @@ def _boundary_tables(model: SurfaceModel):
 
 # -- column fills: the engine binds the tables, then (index, symbol), id ----
 
-def _q_column(ids, monos, ins, pair, qden, m: int, sym: str, i: int) -> Column:
-    """q_m(sym) on the monomial of id i, over qden: for m = -n < 0,
-    removing a factor q_n(s) contributes -n <sym, s>; q_0 is zero."""
-    if m > 0:
-        return {ins[m, sym][i]: qden}
+#: The one read-only column of every vanishing column.
+_EMPTY: Column = MappingProxyType({})
+
+
+def _q_column(ids, monos, pair, m: int, sym: str, i: int) -> Column:
+    """q_m(sym), m <= 0, on the monomial of id i, over _qden: removing a
+    factor q_(-m)(s) contributes m <sym, s>; q_0 is zero."""
     M = monos[i]
     out: Column = {}
     for j, (k, s) in enumerate(M):
@@ -167,74 +191,76 @@ def _q_column(ids, monos, ins, pair, qden, m: int, sym: str, i: int) -> Column:
         if k == -m and c:
             N = ids[M[:j] + M[j + 1:]]
             out[N] = out.get(N, 0) + m * c
-    return out
+    return out or _EMPTY
 
 
 def _pairs(q: _Family, cut, monos, sign: int, m: int, sym: str, i: int) -> Column:
     """L_m(sym) M for sign 1, or e_m(sym) M for sign -1, over _Lden, for M
     of id i: the pairs q_(m-mu)(s') q_mu(s'') M with mu <= m // 2, each
     unordered pair once as delta is symmetric, or minus those with mu < 0,
-    the ones that hold an annihilator.  The cut table of D holds c/2 for
-    (c, s', s'') in delta over _den, and each oscillator is over _qden."""
+    the ones that hold an annihilator, of an index -mu that M has.  The cut
+    table holds c/2 over _den, and each oscillator is over _qden."""
     raw: Column = {}
-    low = -mono_weight(monos[i])
     top = m // 2 if sign > 0 else min(-1, m // 2)
+    mus = sorted({-k for k, _ in monos[i] if -k <= top}) + list(range(1, top + 1))
     for c, s1, s2 in cut[sym]:
-        for mu in range(low, top + 1):
+        for mu in mus:
             nu = m - mu
-            if mu and nu:
+            if nu:
                 t = q[mu, s2][i]
                 if t:
                     int_apply(raw, q[nu, s1].__getitem__, t, sign * (c if nu == mu else 2 * c))
     return {N: x for N, x in raw.items() if x}
 
 
-def _commutator_column(q: _Family, b: _Table, n: int, sym: str, i: int) -> Column:
-    """q'_n(sym) = [D, q_n(sym)] on the monomial M of id i, over
-    _den * _qden: D q_n(sym) M - q_n(sym) D M, from the q and D tables."""
+def _new_factor(ids, monos, ins, cut, join, kterm, n: int, s: str, i: int) -> Column:
+    """[D, q_n(s)] = n L_n(s) + n(n-1)/2 q_n(K.s), n >= 1, on the monomial
+    M of id i, over _den; the one place the rule lives.  q_n(s) cuts into
+    q_nu(s') q_(n-nu)(s'') with weight n c/2 for (c, s', s'') in delta(s)
+    and 0 < nu < n, turns into q_n(t) with weight n(n-1)/2 k for K.s = k t,
+    and joins each factor q_n2(s2) of M into q_(n+n2)(s') with weight
+    -n n2 c <s'', s2>."""
+    M = monos[i]
+    num: Column = {}
+    for c, s1, s2 in cut[s]:
+        for nu in range(1, n):
+            N = ins[n - nu, s2][ins[nu, s1][i]]
+            num[N] = num.get(N, 0) + n * c
+    for c, t in kterm[s] if n > 1 else ():
+        N = ins[n, t][i]
+        num[N] = num.get(N, 0) + n * (n - 1) * c
+    for f, copies in groupby(M):
+        r = ids[_without(M, f)]
+        w = -n * f[0] * len(list(copies))
+        for c, s1 in join[s, f[1]]:
+            N = ins[n + f[0], s1][r]
+            num[N] = num.get(N, 0) + w * c
+    return {N: x for N, x in num.items() if x}
+
+
+def _commutator_column(q: _Family, b: _Table, new, qden: int, n: int, sym: str, i: int) -> Column:
+    """q'_n(sym) = [D, q_n(sym)] on the monomial M of id i, over _den *
+    _qden: ``new(n, sym, i)`` times _qden for n >= 1, else
+    D q_n(sym) M - q_n(sym) D M from the q and D tables."""
+    if n > 0:
+        return {N: qden * x for N, x in new(n, sym, i).items()}
     col = q[n, sym]
     raw = int_apply({}, b.__getitem__, col[i])
     int_apply(raw, col.__getitem__, b[i], -1)
     return {N: x for N, x in raw.items() if x}
 
 
-def _boundary_column(ids, monos, ins, cut, join, kterm, i: int) -> Column:
-    """D on the monomial of id i by the cut-and-join formula of the module
-    docstring, as integer numerators over the model denominator.
-
-    Equal factors are taken together: a factor q_n(s) of multiplicity m
-    cuts into q_nu(s') q_(n-nu)(s'') with weight m * n * c/2 for each
-    (c, s', s'') in delta(s) and 0 < nu < n, turns into q_n(t) with weight
-    m * n(n-1)/2 * k for K.s = k t, and joins each later factor q_n2(s2),
-    and each other copy of itself, into q_(n+n2)(s') with weight
-    -n * n2 * c <s'', s2>.  Each image is an insertion into the monomial
-    without the factors used up.  No other column family is read.
-    """
+def _boundary_column(ids, monos, ins, new, b: _Table, i: int) -> Column:
+    """D on the monomial M of id i, over _den: D|0> = 0 and, for the first
+    factor q_n(s) of M, D q_n(s) M' = q_n(s) D M' + [D, q_n(s)] M', the
+    column of M' in the D table ``b`` relabelled plus ``new(n, s, id of M')``."""
     M = monos[i]
-    groups = [(f, len(list(copies))) for f, copies in groupby(M)]
-    num: Column = {}
-    get = num.get
-    for a, (f, m) in enumerate(groups):
-        n, s = f
-        rest = _without(M, f)
-        r = ids[rest]
-        w = m * n
-        for c, s1, s2 in cut[s]:
-            for nu in range(1, n):
-                N = ins[n - nu, s2][ins[nu, s1][r]]
-                num[N] = get(N, 0) + w * c
-        if n > 1:
-            for c, t in kterm[s]:
-                N = ins[n, t][r]
-                num[N] = get(N, 0) + w * (n - 1) * c
-        joins = [(f, m * (m - 1) // 2)] if m > 1 else []
-        joins += [(g, m * m2) for g, m2 in groups[a + 1:]]
-        for (n2, s2), pairs in joins:
-            r2 = ids[_without(rest, (n2, s2))]
-            w2 = -pairs * n * n2
-            for c, s1 in join[s, s2]:
-                N = ins[n + n2, s1][r2]
-                num[N] = get(N, 0) + w2 * c
+    if not M:
+        return _EMPTY
+    r, up = ids[M[1:]], ins[M[0]]
+    num = {up[k]: x for k, x in b[r].items()}
+    for N, x in new(*M[0], r).items():
+        num[N] = num.get(N, 0) + x
     return {N: x for N, x in num.items() if x}
 
 
@@ -267,11 +293,12 @@ class OperatorEngine:
         self._qden, self._Lden = qden, self._den * qden**2
         # the column tables, over _qden (q), _Lden (L, e), _den (D), _den * _qden (q')
         cut, join, kterm = self._cut, self._join, self._kterm
-        q = self._q_cache = _Family(partial(_q_column, ids, monos, ins, self._pair, qden), qden)
+        new = partial(_new_factor, ids, monos, ins, cut, join, kterm)
+        q = self._q_cache = _Family(partial(_q_column, ids, monos, self._pair), qden, ins)
         self._L_cache = _Family(partial(_pairs, q, cut, monos, 1), self._Lden)
         self._e_cache = _Family(partial(_pairs, q, cut, monos, -1), self._Lden)
-        b = self._b_cache = _Table(partial(_boundary_column, ids, monos, ins, cut, join, kterm))
-        self._qp_cache = _Family(partial(_commutator_column, q, b), self._den * qden)
+        b = self._b_cache = _SelfTable(partial(_boundary_column, ids, monos, ins, new))
+        self._qp_cache = _Family(partial(_commutator_column, q, b, new, qden), self._den * qden)
         # Always empty: higher derivatives are not memoized per monomial. It
         # stays because perfbench/probes.py reads every cache attribute.
         self._qd_cache: Dict[Tuple[int, int, str, int], Column] = {}
@@ -392,7 +419,7 @@ class OperatorEngine:
                 break
             powers.append(nxt)
         shift = {sym: 2 * n - 2 + d for sym, d in self.model.degree.items()}
-        last = b.__getitem__ if degree is None else b.fill
+        last = b.__getitem__ if degree is None else partial(b.fill, b)
         dpow = [self._den**k for k in range(nu_last + 1)]
         lift = self._qden if n > 0 else 1  # q_n(sym), n > 0: ins[n, sym] times _qden
         acc: Column = {}

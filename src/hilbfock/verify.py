@@ -117,8 +117,8 @@ def _bracket(eng, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
     every rational multiple of v.  A case is the residual, left side minus
     right side, as integer numerators over one common denominator, and
     holds when every numerator is zero; a counterexample is ``fields`` with
-    n, m, a and b added.  Each A_n(a) v and B_m(b) v is computed once per
-    vector.
+    n, m, a and b added, built only for a failing case.  Each case binds
+    its column getters once, and A_n(a) v and B_m(b) v once per vector.
     """
     a_den, b_den = A.den, B.den
     model, ids = eng.model, eng._ids
@@ -131,21 +131,23 @@ def _bracket(eng, vectors, A, B, ns, ms, rhs) -> Iterator[Case]:
         x, y = rhs(n, m, ab)
         terms = [(Q(x) * c / b_den, s) for s, c in ab.terms.items()]
         den = lcm(a_den * b_den, Q(y).denominator, *(t.denominator for t, _ in terms))
-        f_s = [(int(t * den), s) for t, s in terms if t]
-        plan.append((n, m, sa, sb, den // (a_den * b_den), f_s, int(y * den)))
+        f_s = [(int(t * den), B[n + m, s].__getitem__) for t, s in terms if t]
+        cols = A[n, sa].__getitem__, B[m, sb].__getitem__
+        plan.append((n, m, sa, sb, *cols, den // (a_den * b_den), f_s, int(y * den)))
     for v, fields in vectors:
         v = {ids[M]: c for M, c in v.items()}
         Av = {(n, sa): int_apply({}, A[n, sa].__getitem__, v) for n in ns for sa in syms}
         Bv = {(m, sb): int_apply({}, B[m, sb].__getitem__, v) for m in ms for sb in syms}
-        for n, m, sa, sb, f, f_s, f_id in plan:
-            res = int_apply({}, A[n, sa].__getitem__, Bv[m, sb], f)
-            int_apply(res, B[m, sb].__getitem__, Av[n, sa], -f)
-            for fb, s in f_s:
-                int_apply(res, B[n + m, s].__getitem__, v, -fb)
+        for n, m, sa, sb, a_col, b_col, f, f_s, f_id in plan:
+            res = int_apply({}, a_col, Bv[m, sb], f)
+            int_apply(res, b_col, Av[n, sa], -f)
+            for fb, col in f_s:
+                int_apply(res, col, v, -fb)
             if f_id:
                 for i, c in v.items():
                     res[i] = res.get(i, 0) - f_id * c
-            yield any(res.values()), False, dict(fields, n=n, m=m, a=sa, b=sb)
+            bad = any(res.values())
+            yield bad, False, dict(fields, n=n, m=m, a=sa, b=sb) if bad else None
 
 
 # -- oscillator commutation relations --------------------------------------
@@ -275,11 +277,12 @@ def suite_derivative(
             fs = [(qp[n, sym], Q(1, qp.den)), (L[n, sym], Q(-n, L.den))]
             fs += [(q[n, t], Q(-n * (abs(n) - 1), 2 * q.den) * k) for t, k in Ka.items()]
             den = lcm(*(f.denominator for _, f in fs))
+            fs = [(col.__getitem__, int(f * den)) for col, f in fs]
             for M in basis:
                 if mono_weight(M) + max(n, 1) <= max_weight:
                     res, i = {}, eng._ids[M]
                     for col, f in fs:
-                        int_apply(res, col.__getitem__, {i: int(f * den)})
+                        int_apply(res, col, {i: f})
                     where = dict(model=mp, lehn=True, n=n, a=sym, monomial=list(M))
                     yield any(res.values()), False, where
 

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction as Q
 from functools import cache, partial
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import CohClass, KClassSpec, new_model, vacuum
+from hilbfock import CohClass, KClassSpec, new_model, operators, vacuum
 from hilbfock.fock import (
     FockVector,
     mono_degree,
@@ -154,15 +155,81 @@ def _boundary_reference(eng, M):
     return {N: x for N, x in num.items() if x}
 
 
+def _boundary_mismatch(params, weight):
+    # the first monomial of weight <= weight whose id-keyed D column, keyed
+    # back by monomials, is not the tuple reference's; None if there is none
+    eng = OperatorEngine(new_model(*params))
+    for M in monomials(eng.model, weight):
+        col = eng._b_cache[eng._ids[M]]
+        if {eng._monos[N]: x for N, x in col.items()} != _boundary_reference(eng, M):
+            return M
+    return None
+
+
 def test_boundary_columns_match_the_tuple_reference():
-    # the id-keyed D columns, keyed back by monomials, on every monomial of
-    # weight <= 5
-    for params in ((1, 0, -1, 0), (2, 1, -1, 1)):
-        eng = OperatorEngine(new_model(*params))
-        for M in monomials(eng.model, 5):
-            col = eng._b_cache[eng._ids[M]]
-            got = {eng._monos[N]: x for N, x in col.items()}
-            assert got == _boundary_reference(eng, M), (params, M)
+    # D is filled by the derivation rule from the new-factor column; on
+    # every monomial of weight <= 6 of the five column models, two of them
+    # rational, it must equal the closed cut-and-join form
+    for params, _ in COLUMN_MODELS:
+        assert _boundary_mismatch(params, 6) is None, params
+
+
+def _halved_cut(cut, join, kterm):
+    # exact halves as Fractions: the cut numerators of some models are odd
+    return {s: [(Q(c, 2), s1, s2) for c, s1, s2 in row] for s, row in cut.items()}, join, kterm
+
+
+#: Mutants of the three terms of operators._new_factor, as edits of the
+#: tables it reads; the engine's own tables, which the D reference reads,
+#: stay intact.
+NEW_FACTOR_MUTANTS = {
+    "no K term": lambda cut, join, kterm: (cut, join, {s: [] for s in kterm}),
+    "no join": lambda cut, join, kterm: (cut, {k: [] for k in join}, kterm),
+    "half cut": _halved_cut,
+}
+
+
+@pytest.mark.parametrize("mutant", NEW_FACTOR_MUTANTS)
+def test_wrong_new_factor_fails(monkeypatch, mutant):
+    # Lehn's rule lives only in _new_factor, which fills both D and q'_n,
+    # n >= 1: each wrong term is seen by the bracket suite and by the tuple
+    # reference of D
+    fill = operators._new_factor
+
+    def wrong(ids, monos, ins, cut, join, kterm, *rest):
+        return fill(ids, monos, ins, *NEW_FACTOR_MUTANTS[mutant](cut, join, kterm), *rest)
+
+    monkeypatch.setattr(operators, "_new_factor", wrong)
+    one = (1, 0, -1, 0)
+    report = suite_derivative(max_n=2, max_weight=3, sample=5, model_params=(one,))
+    assert report["pass"] is False, mutant
+    assert _boundary_mismatch(one, 3) is not None, mutant
+
+
+def test_creation_columns_are_not_stored():
+    # q_m(s), m >= 1, is a relabel formed on lookup, and q'_n(s), n >= 1,
+    # is the new-factor column, which reads no D column: after both on every
+    # monomial of weight <= 4 the q family holds no column and D none, and
+    # the values are the oracles'
+    model = new_model(2, 1, -1, 1)
+    eng = OperatorEngine(model)
+    K = model.canonical_class()
+    q = cache(partial(_q_oracle, model))
+
+    def value(fam, m, sym, M):
+        return {N: Q(x, fam.den) for N, x in _column(eng, fam, m, sym, M).items()}
+
+    for M in monomials(model, 4):
+        for sym in model.symbols:
+            Ka = model.mul(K, CohClass({sym: 1}))
+            for m in range(1, 6):
+                assert value(eng._q_cache, m, sym, M) == q(m, sym, M), (m, sym, M)
+                want = {N: m * x for N, x in _l_oracle(model, q, m, sym, M).items()}
+                for t, k in Ka.terms.items() if m > 1 else ():
+                    axpy(want, q(m, t, M), Q(m * (m - 1), 2) * k)
+                assert value(eng._qp_cache, m, sym, M) == want, (m, sym, M)
+    assert all(m > 0 for m, _ in eng._q_cache) and len(eng._q_cache) == 0
+    assert len(eng._qp_cache) > 0 and len(eng._b_cache) == 0
 
 
 def test_monomial_table_round_trips():
@@ -203,9 +270,12 @@ def test_engine_is_freed_by_reference_counting():
         eng.boundary(v)
         families = ("_q_cache", "_L_cache", "_e_cache", "_qp_cache", "_b_cache")
         assert all(len(getattr(eng, f)) for f in families)
-        ref = weakref.ref(eng)
+        ref, b = weakref.ref(eng), eng._b_cache
         del eng
         assert ref() is None
+        # the D fill takes the D table as an argument and holds no reference
+        # to it, so b, and getrefcount's argument, are the last references
+        assert sys.getrefcount(b) == 2
     finally:
         gc.enable()
 

@@ -51,7 +51,15 @@ def test_wrong_virasoro_operator_fails(monkeypatch):
 
 
 def test_wrong_oscillator_fails(monkeypatch):
-    monkeypatch.setattr(operators, "_q_column", _wrong_at(operators._q_column, 2))
+    # the creation oscillator q_2 doubled: its columns are relabels, made by
+    # operators._Relabel, not filled by _q_column
+    class WrongRelabel(operators._Relabel):
+        __slots__ = ()
+
+        def __init__(self, ins, k, den):
+            super().__init__(ins, k, 2 * den if k[0] == 2 else den)
+
+    monkeypatch.setattr(operators, "_Relabel", WrongRelabel)
     report = suite_oscillator(
         max_n=2, n_vectors=5, max_weight=3, model_params=ONE_MODEL
     )
@@ -61,9 +69,20 @@ def test_wrong_oscillator_fails(monkeypatch):
     assert 2 in (ce["n"], ce["m"])
 
 
+def test_wrong_annihilator_fails(monkeypatch):
+    monkeypatch.setattr(operators, "_q_column", _wrong_at(operators._q_column, -2))
+    report = suite_oscillator(
+        max_n=2, n_vectors=5, max_weight=3, model_params=ONE_MODEL
+    )
+    assert report["pass"] is False
+    ce = report["counterexample"]
+    assert set(ce) == {"model", "n", "m", "a", "b"}
+    assert -2 in (ce["n"], ce["m"])
+
+
 def test_wrong_derivative_fails(monkeypatch):
-    # D doubled on the monomials of weight 3; the q' columns are [D, q], so
-    # the bracket cases see it before Lehn's rule is checked
+    # D doubled on the monomials of weight 3; the q' columns of n <= 0 are
+    # [D, q], so the bracket cases see it before Lehn's rule is checked
     fill = operators._boundary_column
 
     def wrong(ids, monos, *rest):
