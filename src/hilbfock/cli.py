@@ -33,7 +33,6 @@ from .segre import (
     dm_coefficients,
     fit_dm_linear,
     segre_polynomial,
-    segre_series,
 )
 from .surface import (
     CohClass,
@@ -219,8 +218,9 @@ def _cmd_segre(args) -> int:
         result = {"n": args.n, "polynomial": poly.render(), "terms": poly.json_map()}
         _emit("segre", {"n": args.n, "symbolic": True}, result)
         return 0
-    model = new_model(args.d, args.pi, args.kappa, args.b2_extra)
-    value = segre_series(args.n, model)[args.n]
+    params = (args.d, args.pi, args.kappa, args.b2_extra)
+    new_model(*params)  # refused even when cached
+    value = Sampler(args.cache, args.jobs).value(args.n, params)
     result = {"n": args.n, "value": q_str(value)}
     _emit("segre", _model_params(args, n=args.n), result)
     return 0
@@ -231,11 +231,9 @@ def _cmd_dm(args) -> int:
     sampler = Sampler(args.cache, args.jobs)
     symbolic_up_to = min(args.max_m, 5)
     polys = [segre_polynomial(n, sampler) for n in range(symbolic_up_to + 1)]
-    dms = fitted = dm_coefficients(polys)
-    if args.max_m > symbolic_up_to:
-        # the fit gives d_1..d_5 a second time, which must agree
-        fitted = fit_dm_linear(args.max_m, sampler)
-        dms = dms + fitted[symbolic_up_to + 1:]
+    # the fit gives d_1..d_min(m, 5) a second time, which must agree
+    fitted = fit_dm_linear(args.max_m, sampler)
+    dms = dm_coefficients(polys) + fitted[symbolic_up_to + 1:]
     rows = []
     all_match = True
     for m in range(1, args.max_m + 1):

@@ -305,14 +305,10 @@ class OperatorEngine:
 
     # -- conversion at the public operators --------------------------------
 
-    def _terms(self, v: FockVector) -> List[Tuple[int, Q]]:
-        """The terms of v as (id, coefficient) pairs."""
-        ids = self._ids
-        return [(ids[M], c) for M, c in v.terms.items()]
-
     def _in(self, v: FockVector) -> IntVec:
         """v as an integer vector keyed by ids."""
-        return int_vec(dict(self._terms(v)))
+        ids = self._ids
+        return int_vec({ids[M]: c for M, c in v.terms.items()})
 
     def _out(self, v: IntVec) -> FockVector:
         """An integer vector keyed by ids as a Fock vector."""
@@ -356,6 +352,9 @@ class OperatorEngine:
         """The sum over ``(b, c)`` in ``series`` and over nu of
         ``b(nu) * ad^nu(q_n(c)) v``, where ad is the commutator with the
         boundary operator D; with ``degree``, only its degree-``degree`` part.
+        :meth:`q_derivative` of an order >= 2 is one call on the one-entry
+        series b_nu = [nu = order], and the Chern class operators one call
+        per weight step.
 
         Expanding ad^nu(X) = sum over i + j = nu of
         binomial(nu, i) (-1)^j D^i X D^j gives the exact identity
@@ -443,47 +442,15 @@ class OperatorEngine:
                             acc[t] = get(t, 0) + f * x
         return int_reduce(acc, den * self._qden * F * dpow[-1])
 
-    def q_derivatives(
-        self, n: int, order: int, a: CohClass, v: FockVector
-    ) -> List[FockVector]:
-        """The derivatives q_n^(nu)(a) v for nu = 0 .. order: iterated
-        boundary commutators, every order from one kernel pass.
-
-        ad^nu(q_n(s)) raises the degree by 2(n + nu - 1) + deg s.  So on the
-        degree-e part of v and the classes s of one degree, the kernel
-        :meth:`_ad_series` with b_nu = 1 for nu <= order returns the sum of
-        the orders, each in its own degree, and the orders are read off by
-        degree: one pass per such pair of parts.
-        """
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        degs = self._degs
-        parts: Dict[int, Dict[int, Q]] = {}
-        for i, c in self._terms(v):
-            parts.setdefault(degs[i], {})[i] = c
-        classes: Dict[int, Dict[str, Q]] = {}
-        for sym, c in a.terms.items():
-            classes.setdefault(self.model.degree[sym], {})[sym] = c
-
-        def upto(nu: int) -> int:
-            return int(nu <= order)
-
-        by_order: List[Dict[int, Q]] = [{} for _ in range(order + 1)]
-        for e, part in parts.items():
-            for ds, cls in classes.items():
-                num, den = self._ad_series(n, [(upto, cls)], int_vec(part))
-                for i, x in num.items():
-                    out = by_order[(degs[i] - e - ds - 2 * n + 2) // 2]
-                    out[i] = out.get(i, 0) + Q(x, den)
-        return [FockVector({self._monos[i]: c for i, c in out.items()}) for out in by_order]
-
     def q_derivative(
         self, n: int, order: int, a: CohClass, v: FockVector
     ) -> FockVector:
-        """The order-th derivative of q_n(a): iterated boundary commutator.
+        """The order-th derivative ad^order(q_n(a)) v, ad the commutator
+        with the boundary operator D.
 
-        Order 1 is the commutator [D, q_n(a)], memoized per monomial from
-        the q and D columns; higher orders come from :meth:`q_derivatives`.
+        Order 0 reads the q columns and order 1 the memoized q' columns
+        [D, q_n(s)]; a higher order is one :meth:`_ad_series` pass on the
+        one-entry series b_nu = [nu = order].
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
@@ -491,7 +458,8 @@ class OperatorEngine:
             return self.q(n, a, v)
         if order == 1:
             return self._apply(self._qp_cache, n, a, v)
-        return self.q_derivatives(n, order, a, v)[order]
+        series = [(lambda nu: int(nu == order), a.terms)]
+        return self._out(self._ad_series(n, series, self._in(v)))
 
     # -- Chern class operators ---------------------------------------------
 

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import subprocess
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import ENGINE_VERSION, cli, new_model, segre
+from hilbfock import ENGINE_VERSION, cli, new_model, segre, verify
 from hilbfock.cli import main, parse_bundle
+from hilbfock.fock import render_monomial
+from hilbfock.linear import q_str
+from hilbfock.operators import OperatorEngine
 from hilbfock.segre import KNOWN_DM, UnivPoly
 from hilbfock.surface import CohClass, parse_class, render_class
 
@@ -28,6 +32,25 @@ def test_verify_suite_passes(capsys):
     assert doc["result"]["pass"] is True
 
 
+def test_verify_passes_size_and_seed(capsys, monkeypatch):
+    # the report is the suite's own at --max-n 2 --seed 2
+    calls = []
+    real = verify.SUITES["oscillator"]
+
+    @functools.wraps(real)
+    def spy(**kwargs):
+        report = real(**kwargs)
+        calls.append((kwargs, report))
+        return report
+
+    monkeypatch.setitem(verify.SUITES, "oscillator", spy)
+    code, out = run_cli(capsys, "verify", "oscillator", "--max-n", "2", "--seed", "2")
+    assert code == 0
+    [(kwargs, report)] = calls
+    assert kwargs == {"max_n": 2, "seed": 2}
+    assert json.loads(out)["result"] == report
+
+
 def test_verify_unknown_suite(capsys):
     code, _ = run_cli(capsys, "verify", "no-such-suite")
     assert code == 2
@@ -40,6 +63,22 @@ def test_segre_numeric(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["value"] == "-2/1"
+
+
+def test_segre_numeric_reads_and_writes_the_cache(capsys, monkeypatch, tmp_path):
+    # the first run samples and stores the point, the second is answered
+    # from the file without sampling
+    path = tmp_path / "cache.jsonl"
+    argv = ["segre", "--n", "3", "--d", "2", "--pi", "1", "--kappa", "-1", "--jobs", "1"]
+    code, out = run_cli(capsys, *argv, "--cache", str(path))
+    assert code == 0 and json.loads(out)["result"]["value"] == "52/1"
+    assert path.exists()
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("segre_series was called")
+
+    monkeypatch.setattr(segre, "segre_series", no_sampling)
+    assert run_cli(capsys, *argv, "--cache", str(path)) == (code, out)
 
 
 def test_segre_symbolic(capsys):
@@ -76,20 +115,21 @@ def test_dm_table(capsys):
 
 
 def test_dm_cross_checks_the_fit(capsys, monkeypatch):
-    # past m = 5 the linear fit also gives d_1..d_5, which must equal the
-    # ones from the symbolic N_n: a wrong fitted d_3 fails its row
+    # the linear fit also gives d_1..d_5, which must equal the ones from the
+    # symbolic N_n, below m = 5 too: a wrong fitted d_3 fails its row
     def wrong_fit(m_max, sampler):
         fitted = [UnivPoly()] + [KNOWN_DM[m] for m in range(1, m_max + 1)]
         fitted[3] = fitted[3] + KNOWN_DM[1]
         return fitted
 
     monkeypatch.setattr(cli, "fit_dm_linear", wrong_fit)
-    code, out = run_cli(capsys, "dm", "--max-m", "6")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["ok"] is False
-    assert [r["match"] for r in doc["result"]] == [True, True, False, True, True, True]
-    assert doc["result"][2]["d_m"] == KNOWN_DM[3].render()
+    for max_m in (3, 6):
+        code, out = run_cli(capsys, "dm", "--max-m", str(max_m))
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert [r["match"] for r in doc["result"]] == [m != 3 for m in range(1, max_m + 1)]
+        assert doc["result"][2]["d_m"] == KNOWN_DM[3].render()
 
 
 def test_conjecture(capsys):
@@ -125,6 +165,14 @@ def test_chern_line_bundle(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["class"] == "q1[1-2*h+k+3*pt]"
+
+
+def test_chern_character(capsys, model):
+    code, out = run_cli(capsys, "chern", "--n", "3", "--bundle=-L(c1=h)", "--character")
+    assert code == 0
+    want = OperatorEngine(model).chern_char_class(parse_bundle("-L(c1=h)", model), 3)
+    terms = {render_monomial(M): q_str(c) for M, c in want.terms.items()}
+    assert terms and json.loads(out)["result"]["terms"] == terms
 
 
 @pytest.mark.parametrize(
@@ -212,6 +260,7 @@ def test_parse_bundle(model):
 
 def test_usage_error_exit_code():
     assert main(["segre"]) == 2  # missing required --n
+    assert main(["segre", "--n", "2", "--d", "x"]) == 2  # not a rational
     assert main([]) == 2
 
 
@@ -266,13 +315,19 @@ def test_out_of_range_sizes_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "point, code",
-    [(["1", "1", "1", "0"], 3), (["1", "0", "-1", "-1"], 2)],
-    ids=["degenerate", "negative-b2-extra"],
+    "command, point, code",
+    [
+        (["conjecture", "--n-max", "2"], ["1", "1", "1", "0"], 3),
+        (["conjecture", "--n-max", "2"], ["1", "0", "-1", "-1"], 2),
+        (["segre", "--n", "2"], ["1", "1", "1", "0"], 3),
+        (["segre", "--n", "2"], ["1", "0", "-1", "-1"], 2),
+    ],
+    ids=["degenerate", "negative-b2-extra", "segre-degenerate", "segre-negative-b2-extra"],
 )
-def test_conjecture_refuses_a_cached_point(capsys, tmp_path, point, code):
+def test_conjecture_refuses_a_cached_point(capsys, tmp_path, command, point, code):
     # the model is checked before the cache is read, so the exit code does
-    # not depend on whether the cache holds N_0..N_2 at the point
+    # not depend on whether the cache holds N_0..N_2 at the point; numeric
+    # segre reads the same cache
     path = tmp_path / "cache.jsonl"
     d, pi, kappa, b2 = point
     with open(path, "w") as fh:
@@ -280,7 +335,7 @@ def test_conjecture_refuses_a_cached_point(capsys, tmp_path, point, code):
         for n in range(3):
             rec = {"n": n, "d": d, "pi": pi, "kappa": kappa, "b2_extra": int(b2), "value": "1/1"}
             fh.write(json.dumps(rec) + "\n")
-    argv = ["conjecture", "--n-max", "2", "--d", d, "--pi", pi, "--kappa", kappa]
+    argv = command + ["--d", d, "--pi", pi, "--kappa", kappa]
     assert run_cli(capsys, *argv, "--b2-extra", b2, "--cache", str(path)) == (code, "")
 
 
@@ -294,8 +349,13 @@ def test_cache_env_var(capsys, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["segre", "--n", "2", "--symbolic"], ["dm", "--max-m", "2"], ["conjecture", "--n-max", "2"]],
-    ids=["segre-symbolic", "dm", "conjecture"],
+    [
+        ["segre", "--n", "2", "--symbolic"],
+        ["dm", "--max-m", "2"],
+        ["conjecture", "--n-max", "2"],
+        ["segre", "--n", "2"],
+    ],
+    ids=["segre-symbolic", "dm", "conjecture", "segre-numeric"],
 )
 @pytest.mark.parametrize("where", ["directory", "missing-directory", "env-directory"])
 def test_unusable_cache_path_is_refused_before_sampling(capsys, monkeypatch, tmp_path, argv, where):

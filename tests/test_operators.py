@@ -434,30 +434,49 @@ def test_derivative_of_vacuum_vanishes(engine, model):
         assert engine.q_derivative(1, nu, model.h_class(), vacuum()).is_zero()
 
 
+def _all_orders(eng, n, a, v):
+    # the sum over every order nu of q_n^(nu)(a) v, from one kernel call
+    return eng._out(eng._ad_series(n, [(lambda nu: 1, a.terms)], eng._in(v)))
+
+
 def test_second_derivative_recursion(engine, engine_b2, engine_rational):
-    # the definition q_n^(nu+1) v = D q_n^(nu) v - q_n^(nu) D v, from the
-    # memoized first derivative up, on every basis class and monomial of
-    # weight w <= 3; nu runs past 2w + n + 1, the last order that can be
-    # nonzero.  Every order comes from one q_derivatives call on v and one
-    # on D v, whose orders 0 and 1 must be q_n and the q' columns.  The
-    # rational model has _qden = 6, which the other two do not test
+    # the definition q_n^(nu+1) v = D q_n^(nu) v - q_n^(nu) D v for every
+    # order at once, on every basis class and monomial of weight w <= 3:
+    # with S(v) the sum over all nu of q_n^(nu)(a) v (_all_orders), it
+    # reads D S(v) - S(D v) = S(v) - q_n(a) v.  Order nu lands in degree
+    # deg v + 2(n + nu - 1) + deg a, so this is the recursion order by order,
+    # and it holds only if the kernel's sum stops past the last nonzero
+    # order.  The order-1 parts of S(v) and S(D v) must be the q' columns.
+    # The rational model has _qden = 6, which the other two do not test
     for eng in (engine, engine_b2, engine_rational):
         model = eng.model
         for M in monomials(model, 3):
             v = FockVector({M: 1})
             dv = eng.boundary(v)
             for n in (-2, -1, 1, 2, 3):
-                top = 2 * mono_weight(M) + n + 3
                 for sym in model.symbols:
                     a = CohClass({sym: 1})
-                    ders = eng.q_derivatives(n, top, a, v)
-                    ders_dv = eng.q_derivatives(n, top, a, dv)
-                    assert ders[0] == eng.q(n, a, v), (model, M, n, sym)
-                    assert ders[1] == eng.q_derivative(n, 1, a, v), (model, M, n, sym)
-                    assert ders_dv[1] == eng.q_derivative(n, 1, a, dv), (model, M, n, sym)
-                    for nu in range(1, top):
-                        want = eng.boundary(ders[nu]) - ders_dv[nu]
-                        assert ders[nu + 1] == want, (model, M, n, sym, nu)
+                    s_v, s_dv = _all_orders(eng, n, a, v), _all_orders(eng, n, a, dv)
+                    where = (model, M, n, sym)
+                    assert eng.boundary(s_v) - s_dv == s_v - eng.q(n, a, v), where
+                    d1 = mono_degree(M, model) + 2 * n + model.degree[sym]
+                    assert _degree_part(s_v, d1, model) == eng.q_derivative(n, 1, a, v), where
+                    assert _degree_part(s_dv, d1 + 2, model) == eng.q_derivative(n, 1, a, dv), where
+
+
+def test_derivative_order_edges(engine, engine_b2):
+    # a negative order is refused; on q_1(1)^w ad^nu(q_1(1)) survives up to
+    # nu = 2w + 2 = 2w + n + 1 and vanishes past it, where the kernel's
+    # one-entry series is all zero
+    with pytest.raises(ValueError):
+        engine.q_derivative(1, -1, engine.model.unit(), vacuum())
+    for eng in (engine, engine_b2):
+        unit = eng.model.unit()
+        for w in (1, 2, 3):
+            v = q1_power(eng, unit, w)
+            assert not eng.q_derivative(1, 2 * w + 2, unit, v).is_zero(), w
+            for order in (2 * w + 3, 2 * w + 4):
+                assert eng.q_derivative(1, order, unit, v).is_zero(), (w, order)
 
 
 def test_derivative_bracket_suite_small():
