@@ -13,7 +13,8 @@ D is filled from that characterization alone: for n >= 1 the rule is a cut
 and join of the new factor q_n(a) (:func:`_new_factor`), and D q_n(s) M' is
 q_n(s) D M' plus that term.  The cut, join and K coefficients are tabulated
 once per engine as integers over one model denominator, the lcm of the
-denominators of c/2, c <s'',t> and k/2, so D is filled in integers.
+denominators of c/2, of the products s.t and of k/2, so D is filled in
+integers.
 
 L_n(a) is the normal-ordered pair sum of c q_(n-mu)(s') q_mu(s'') over
 (c, s', s'') in delta(a) and mu <= n/2 with mu, n-mu != 0, halved when
@@ -148,24 +149,20 @@ def _boundary_tables(model: SurfaceModel):
     """The cut, join and K tables of D, as integers over one denominator.
 
     ``cut[s]`` holds (c/2, s', s'') for (c, s', s'') in delta(s),
-    ``join[s, t]`` holds (x, s') with x the sum of c <s'', t> over delta(s),
-    and ``kterm[s]`` holds (k/2, t) for K.s = k t.  The model denominator is
-    the lcm of the denominators of all these entries; each entry is stored as
-    its numerator over it.
+    ``join[s, t]`` holds (x, u) for the product s.t = x u, which is delta(s)
+    contracted with t, and ``kterm[s]`` holds (k/2, t) for K.s = k t.  The
+    model denominator is the lcm of the denominators of all these entries;
+    each entry is stored as its numerator over it.
     """
+
+    def product(s, t, scale=1):
+        p = model.prod_sym(s, t)
+        return [(p[0] * scale, p[1])] if p is not None and p[0] else []
+
     syms = model.symbols
     cut = {s: [(c / 2, s1, s2) for c, s1, s2 in model.delta_triples(s)] for s in syms}
-    join = {}
-    for s in syms:
-        for t in syms:
-            row: Dict[str, Q] = {}
-            for c, s1, s2 in model.delta_triples(s):
-                row[s1] = row.get(s1, 0) + c * model.pair_sym(s2, t)
-            join[s, t] = [(x, s1) for s1, x in row.items() if x]
-    kterm = {}
-    for s in syms:
-        p = model.prod_sym("k", s)
-        kterm[s] = [(p[0] / 2, p[1])] if p is not None and p[0] else []
+    join = {(s, t): product(s, t) for s in syms for t in syms}
+    kterm = {s: product("k", s, Q(1, 2)) for s in syms}
     tables = (cut, join, kterm)
     den = lcm(*(e[0].denominator for t in tables for row in t.values() for e in row))
 
@@ -218,8 +215,8 @@ def _new_factor(ids, monos, ins, cut, join, kterm, n: int, s: str, i: int) -> Co
     M of id i, over _den; the one place the rule lives.  q_n(s) cuts into
     q_nu(s') q_(n-nu)(s'') with weight n c/2 for (c, s', s'') in delta(s)
     and 0 < nu < n, turns into q_n(t) with weight n(n-1)/2 k for K.s = k t,
-    and joins each factor q_n2(s2) of M into q_(n+n2)(s') with weight
-    -n n2 c <s'', s2>."""
+    and joins each factor q_n2(s2) of M into q_(n+n2)(u) with weight
+    -n n2 x for the product s.s2 = x u."""
     M = monos[i]
     num: Column = {}
     for c, s1, s2 in cut[s]:

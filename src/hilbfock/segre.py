@@ -13,15 +13,13 @@ coefficients ``d_m`` in the four parameters.
 from __future__ import annotations
 
 import fcntl
-import functools
 import itertools
 import json
 import os
 import random
 from fractions import Fraction
-from math import isqrt, lcm
-from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from math import prod
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fock import integrate_hilb
 from .linear import Combination, q_str, rat, render_sum
@@ -299,266 +297,106 @@ def _series_worker(args) -> Tuple[Params, List[Q]]:
 
 # -- interpolation ---------------------------------------------------------
 
+#: Exponent k of each variable sits at origin + step * k on the lattice of
+#: N_n, so (a, b, c, f) sits at (d, pi, kappa, e) = (1 + a, b, -1 - c, 4 + f).
+_ORIGIN, _STEP = (1, 0, -1, 4), (1, 1, -1, 1)
+
+
 def sample_grid(n: int, count: int, seed: int = 20260826) -> List[Params]:
-    """Deterministic nondegenerate parameter tuples for interpolation.
-
-    ``b2_extra`` cycles through 0..n//2, as many values of ``e`` as the
-    support of N_n needs; ``d`` takes only the 9 values 1..9, so the
-    system for N_n is rank deficient from n = 9 on.
+    """The lattice point (d, pi, kappa, b2_extra) = (1 + a, b, -1 - c, f) of
+    each exponent (a, b, c, f) of ``support_monomials(n)``, in that order,
+    then ``count - |support|`` distinct nondegenerate models off the lattice
+    from ``seed``: d in 1..9, pi and kappa in -4..4, ``b2_extra`` cycling
+    through 0..n//2.  As d kappa < 0 <= pi^2 no lattice model is degenerate,
+    and the lattice of n lies in that of n + 1.
     """
+    lattice = [(Q(1 + a), Q(b), Q(-1 - c), f) for a, b, c, f in support_monomials(n)]
+    out, seen = lattice[:count], set(lattice)
     rng = random.Random(seed)
-    emax = n // 2
-    seen = set()
-    out: List[Params] = []
-    b2_cycle = itertools.cycle(range(emax + 1))
+    b2_cycle = itertools.cycle(range(n // 2 + 1))
     while len(out) < count:
-        d = Q(rng.randint(1, 9))
-        pi = Q(rng.randint(-4, 4))
-        kappa = Q(rng.randint(-4, 4))
-        if d * kappa == pi * pi:
-            continue
-        b2 = next(b2_cycle)
-        key = (d, pi, kappa, b2)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(key)
+        d, pi, kappa = Q(rng.randint(1, 9)), Q(rng.randint(-4, 4)), Q(rng.randint(-4, 4))
+        if d * kappa != pi * pi and (key := (d, pi, kappa, next(b2_cycle))) not in seen:
+            seen.add(key)
+            out.append(key)
     return out
 
 
-@functools.cache
-def _modulus(k: int) -> int:
-    """The moduli of the interpolation solve: the primes below 2**30, largest first.
+def _divided_differences(v: List[Q], t: List[int]) -> None:
+    """Values v_k = f(t_k) to the Newton coefficients f[t_0..t_k], in place."""
+    for k in range(1, len(v)):
+        for j in range(len(v) - 1, k - 1, -1):
+            v[j] = (v[j] - v[j - 1]) / (t[j] - t[j - k])
 
-    ``_modulus(0)`` is the largest.  Below 2**30 a residue is a single-digit
-    CPython int.  Each prime is found by trial division on first use, so
-    importing the module costs nothing.
+
+def _newton_to_monomial(c: List[Q], t: List[int]) -> None:
+    """sum_k c_k prod_(j<k) (x - t_j) to its coefficients of x^k, in place."""
+    for k in range(len(c) - 2, -1, -1):
+        for j in range(k, len(c) - 1):
+            c[j] -= t[k] * c[j + 1]
+
+
+def _lattice_interpolate(support: Sequence[Expo], values: Sequence[Q]) -> UnivPoly:
+    """The polynomial over the lower set ``support`` that takes ``values``,
+    in support order, at its lattice points (:func:`sample_grid`).  Each
+    line of a lower set along a variable holds its exponents 0..m, so the
+    interpolation is unisolvent and solved line by line, one variable at a
+    time (Dyn-Floater, J. Approx. Theory 177, 2014): divided differences
+    give the coefficients of the Newton basis prod_i prod_(j < k_i) (x_i -
+    t_ij), then Horner's rule the monomial coefficients.
     """
-    c = _modulus(k - 1) - 2 if k else (1 << 30) - 1
-    while not all(c % d for d in range(3, isqrt(c) + 1, 2)):
-        c -= 2
-    return c
+    coef = {ex: Q(x) for ex, x in zip(support, values)}
+    for step in (_divided_differences, _newton_to_monomial):
+        for var, (origin, stride) in enumerate(zip(_ORIGIN, _STEP)):
+            lines: Dict[tuple, List[Expo]] = {}
+            for ex in sorted(support):
+                lines.setdefault(ex[:var] + ex[var + 1:], []).append(ex)
+            for line in lines.values():
+                v = [coef[ex] for ex in line]
+                step(v, [origin + stride * k for k in range(len(v))])
+                coef.update(zip(line, v))
+    return UnivPoly(coef)
 
 
-ModSolver = Callable[[Sequence[int]], List[int]]
-
-
-def _eliminate_mod(
-    mat: List[List[int]], p: int
-) -> Tuple[List[int], List[int], ModSolver]:
-    """Forward elimination of the integer matrix ``mat`` modulo ``p``.
-
-    Returns the pivot rows R and pivot columns C, in pivot order, and a
-    function that solves ``A_RC y = v`` modulo ``p`` for a vector ``v``
-    indexed like R: it replays the recorded multipliers on ``v``, then
-    back-substitutes, in O(|R|^2).  ``A_RC`` is nonsingular modulo ``p``,
-    hence over Q.
-
-    Each working row is one int of fixed-width slots, so that a row
-    update is one multiply-add of ints.  Slots are not reduced: a slot
-    starts below p and takes at most one update, below p*p, per pivot, so
-    ``p + min(rows, columns) * p*p`` bounds it and fixes the width; an
-    entry is read as its slot modulo p.  Once column ``col`` is read, every
-    row not yet a pivot drops its lowest slot, so that slot 0 holds
-    column ``col + 1``: left of it those rows are zero modulo p, and no
-    update touches the dropped slots.
-    """
-    ncols = len(mat[0])
-    nbytes = -(-(p + min(len(mat), ncols) * p * p).bit_length() // 8)
-    width = 8 * nbytes
-    mask = (1 << width) - 1
-
-    def pack(xs: Sequence[int]) -> int:
-        return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in xs), "little")
-
-    work = [pack([x % p for x in row]) for row in mat]
-    live = list(range(len(mat)))
-    # (pivot row, pivot column, inverse of the pivot, [(row, multiplier)],
-    # the pivot row right of its column times the inverse)
-    steps = []
-    for col in range(ncols):
-        entries = [(i, (work[i] & mask) % p) for i in live]
-        for i in live:
-            work[i] >>= width
-        piv = next(((i, x) for i, x in entries if x), None)
-        if piv is None:
-            continue
-        src, x = piv
-        live.remove(src)
-        inv = pow(x, -1, p)
-        raw = work[src].to_bytes(nbytes * (ncols - col - 1), "little")
-        tail = [
-            int.from_bytes(raw[k:k + nbytes], "little") * inv % p
-            for k in range(0, len(raw), nbytes)
-        ]
-        neg = pack([-y % p for y in tail])
-        targets = [(i, f) for i, f in entries if f and i != src]
-        for i, f in targets:
-            work[i] += f * neg
-        steps.append((src, col, inv, targets, tail))
-    piv_rows = [s[0] for s in steps]
-    piv_cols = [s[1] for s in steps]
-    pos = {i: k for k, i in enumerate(piv_rows)}
-    # the multipliers that reach other pivot rows, and the pivot rows of U
-    # at later pivot columns, all by pivot position
-    replay = [
-        (inv, [(pos[i], f) for i, f in targets if i in pos])
-        for _, _, inv, targets, _ in steps
-    ]
-    upper = [
-        [(l, u) for l, u in enumerate((tail[c - col - 1] for c in piv_cols[k + 1:]), k + 1) if u]
-        for k, (_, col, _, _, tail) in enumerate(steps)
-    ]
-
-    def solve_mod(vec: Sequence[int]) -> List[int]:
-        v = [x % p for x in vec]
-        for k, (inv, targets) in enumerate(replay):
-            t = v[k] = v[k] * inv % p
-            for i, f in targets:
-                v[i] = (v[i] - f * t) % p
-        y = [0] * len(v)
-        for k in range(len(v) - 1, -1, -1):
-            acc = v[k]
-            for l, u in upper[k]:
-                acc -= u * y[l]
-            y[k] = acc % p
-        return y
-
-    return piv_rows, piv_cols, solve_mod
-
-
-def _reconstruct(residues: Sequence[int], modulus: int) -> Optional[List[Q]]:
-    """Fractions a/b congruent to each residue, with |a|, b <= sqrt(modulus/2).
-
-    Half-extended Euclid on (modulus, residue), stopped at the first
-    remainder within the bound; None when some residue has no such
-    fraction.  Such a fraction is unique when it exists.
-    """
-    bound = isqrt(modulus // 2)
-    out = []
-    for u in residues:
-        r0, r1, t0, t1 = modulus, u % modulus, 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if abs(t1) > bound:
-            return None
-        out.append(Q(r1, t1))
-    return out
-
-
-def _satisfies(
-    mat: Sequence[Sequence[int]],
-    cols: Sequence[int],
-    sol: Sequence[Q],
-    rhs: Sequence[int],
-) -> bool:
-    """Whether ``sum_k row[cols[k]] * sol[k] == b`` holds exactly in every row."""
-    den = lcm(*(x.denominator for x in sol))
-    nums = [x.numerator * (den // x.denominator) for x in sol]
-    return all(
-        sum(row[c] * x for c, x in zip(cols, nums)) == den * b
-        for row, b in zip(mat, rhs)
-    )
-
-
-def _lift(
-    block: List[List[int]], solve_mod: ModSolver, p: int, rhs: List[int]
-) -> List[Q]:
-    """The rational solution of the nonsingular system ``block @ y = rhs``.
-
-    Dixon's p-adic lifting: y_i = block^-1 r_i mod p and the exact integer
-    residual r_{i+1} = (r_i - block @ y_i) / p give the digits of y in
-    base p; after each step rational reconstruction of the digits so far
-    gives a candidate, returned once it satisfies the system exactly.
-    """
-    acc, modulus, res = [0] * len(rhs), 1, list(rhs)
-    while True:
-        digit = solve_mod(res)
-        acc = [a + modulus * y for a, y in zip(acc, digit)]
-        modulus *= p
-        res = [(r - sum(map(mul, row, digit))) // p for r, row in zip(res, block)]
-        cand = _reconstruct(acc, modulus)
-        if cand is not None and _satisfies(block, range(len(cand)), cand, rhs):
-            return cand
-
-
-def solve_overdetermined(
-    rows: List[List[Q]], rhs: List[Q]
-) -> List[Q]:
-    """Exact solution of a consistent overdetermined linear system.
-
-    Each row and its right-hand side are scaled to integers.  One forward
-    elimination modulo a prime p just below 2**30 finds pivot rows R and
-    pivot columns C whose square block ``A_RC`` is nonsingular modulo p,
-    hence over Q; solutions of ``A_RC y = c`` are found by Dixon's p-adic
-    lifting with rational reconstruction (:func:`_lift`).  Three exact
-    integer checks decide the outcome, so it never depends on p:
-
-    1. each column j off C must satisfy ``A_C (A_RC^-1 A_Rj) = A_j``;
-       else rank over Q exceeds |C|, p was unlucky, and the next prime
-       is tried;
-    2. ``x = A_RC^-1 b_R``, zero off C, must satisfy ``A x = b`` in every
-       row, else InconsistentSamples is raised;
-    3. with a column off C, ValueError ("rank deficient") is raised;
-       otherwise x is the unique solution.
-    """
+def solve_overdetermined(rows: List[List[Q]], rhs: List[Q]) -> List[Q]:
+    """Exact solution of a consistent overdetermined linear system, by
+    Gauss-Jordan elimination over the rationals.  Raises ValueError on an
+    empty system, InconsistentSamples when a row reduces to zero with a
+    nonzero right-hand side, and else ValueError ("rank deficient") when a
+    column has no pivot."""
     if not rows:
         raise ValueError("empty system")
-    mat, vec = [], []
-    for row, b in zip(rows, rhs):
-        den = lcm(b.denominator, *(x.denominator for x in row))
-        mat.append([x.numerator * (den // x.denominator) for x in row])
-        vec.append(b.numerator * (den // b.denominator))
-    ncols = len(mat[0])
-    for p in map(_modulus, itertools.count()):
-        piv_rows, piv_cols, solve_mod = _eliminate_mod(mat, p)
-        block = [[mat[i][c] for c in piv_cols] for i in piv_rows]
-        free = sorted(set(range(ncols)) - set(piv_cols))
-        if all(
-            _satisfies(
-                mat,
-                piv_cols,
-                _lift(block, solve_mod, p, [mat[i][j] for i in piv_rows]),
-                [row[j] for row in mat],
-            )
-            for j in free
-        ):
-            break
-    sol = _lift(block, solve_mod, p, [vec[i] for i in piv_rows])
-    if not _satisfies(mat, piv_cols, sol, vec):
+    ncols = len(rows[0])
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    rank = 0
+    for col in range(ncols):
+        sel = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
+        if sel is None:
+            continue
+        top = [x / Q(aug[sel][col]) for x in aug[sel]]
+        aug[sel], aug[rank] = aug[rank], top
+        for i, row in enumerate(aug):
+            if row[col] and i != rank:
+                aug[i] = [x - row[col] * y for x, y in zip(row, top)]
+        rank += 1
+    if any(row[-1] for row in aug[rank:]):
         raise InconsistentSamples("samples are not consistent with the model")
-    if free:
+    if rank < ncols:
         raise ValueError("sample matrix is rank deficient; add more points")
-    out = [Q(0)] * ncols
-    for c, x in zip(piv_cols, sol):
-        out[c] = x
-    return out
+    return [row[-1] for row in aug[:ncols]]
 
 
 def _interpolate(
     support: Sequence[Expo], points: Sequence[Params], values: Sequence[Q]
 ) -> UnivPoly:
-    """The polynomial over ``support`` that takes ``values`` at ``points``.
-
-    One row ``d^a pi^b kappa^c e^f`` per point, with ``e = 4 + b2_extra``;
-    raises as :func:`solve_overdetermined` does.  Rows are built in
-    integers: with x = num/den and top exponent K of x in the support,
-    x^k = num^k den^(K-k) / den^K, so the row and its value are scaled by
-    the product of the den^K.
-    """
-    tops = [max(ex[i] for ex in support) for i in range(len(_VARS))]
-    rows, rhs = [], []
-    for (d, pi, kappa, b2), value in zip(points, values):
-        tables, scale = [], 1
-        for x, top in zip((d, pi, kappa, 4 + b2), tops):
-            num, den = x.numerator, x.denominator
-            tables.append([num**k * den ** (top - k) for k in range(top + 1)])
-            scale *= den**top
-        td, tp, tk, te = tables
-        rows.append([td[a] * tp[b] * tk[c] * te[f] for a, b, c, f in support])
-        rhs.append(value * scale)
-    return UnivPoly(dict(zip(support, solve_overdetermined(rows, rhs))))
+    """The polynomial over ``support`` that takes ``values`` at ``points``,
+    with e = 4 + b2_extra, by :func:`solve_overdetermined`, which raises as
+    it says.  It fits the linear d_m; N_n on its lattice needs no solve."""
+    rows = [
+        [prod(x**k for x, k in zip((d, pi, kappa, Q(4 + b2)), ex)) for ex in support]
+        for d, pi, kappa, b2 in points
+    ]
+    return UnivPoly(dict(zip(support, solve_overdetermined(rows, list(values)))))
 
 
 #: Sample points beyond the support size: their equations certify the bound.
@@ -566,29 +404,24 @@ EXTRA_POINTS = 3
 
 
 def segre_polynomial(n: int, sampler: Optional[Sampler] = None) -> UnivPoly:
-    """The universal polynomial for N_n, by exact interpolation.
-
-    Solves an overdetermined linear system over the allowed monomial
-    support; the surplus equations certify the support bound, and any
-    residual raises :class:`InconsistentSamples`.  A grid with too few
-    distinct values of some variable is refused with ValueError before
-    any value is sampled.
+    """The universal polynomial for N_n, by exact interpolation on its
+    lattice: the lattice values of ``sample_grid(n, |support| +
+    EXTRA_POINTS)`` give the one polynomial over the support
+    (:func:`_lattice_interpolate`), and it must take the sampled value at
+    each surplus point, which certifies the support bound, or
+    :class:`InconsistentSamples` is raised.
     """
     if sampler is None:
         sampler = Sampler()
     monos = support_monomials(n)
     grid = sample_grid(n, len(monos) + EXTRA_POINTS)
-    for i, var in enumerate(_VARS):
-        # on k distinct values of a variable its powers up to k are dependent;
-        # b2_extra takes as many values as e = 4 + b2_extra
-        top = max(ex[i] for ex in monos)
-        if len({params[i] for params in grid}) <= top:
-            raise ValueError(
-                "sample matrix is rank deficient: %s^%d needs more grid values of %s"
-                % (var, top, var)
-            )
     sampler.fill(n, grid)
-    return _interpolate(monos, grid, [sampler.value(n, p) for p in grid])
+    values = [sampler.value(n, p) for p in grid]
+    poly = _lattice_interpolate(monos, values)
+    for (d, pi, kappa, b2), value in zip(grid[len(monos):], values[len(monos):]):
+        if poly.evaluate(d, pi, kappa, 4 + b2) != value:
+            raise InconsistentSamples("N_%d misses a surplus sample" % n)
+    return poly
 
 
 # -- log-series coefficients ----------------------------------------------

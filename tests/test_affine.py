@@ -34,6 +34,12 @@ def test_d_op_base_cases():
     assert d_op(3, 0, WeightedPoly.one()) == q(3)
 
 
+@pytest.mark.parametrize("m, power", [(0, 1), (-1, 1), (1, 0)])
+def test_variable_needs_positive_index_and_power(m, power):
+    with pytest.raises(ValueError, match="need m >= 1 and power >= 1"):
+        WeightedPoly.variable(m, power)
+
+
 def test_d_op_second_derivative():
     # D(0,2) q_1^2 = 2 q_2
     assert d_op(0, 2, q(1, 2)) == q(2).scale(2)

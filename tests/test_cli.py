@@ -15,6 +15,7 @@ from hilbfock.fock import render_monomial
 from hilbfock.linear import q_str
 from hilbfock.operators import OperatorEngine
 from hilbfock.segre import KNOWN_DM, UnivPoly
+from hilbfock.series import conjecture_series
 from hilbfock.surface import CohClass, parse_class, render_class
 
 
@@ -90,6 +91,25 @@ def test_segre_symbolic(capsys):
         == "1/2*d^2 - 5*d - 5/2*pi - 1/2*kappa + 1/2*e"
     )
     assert doc["result"]["terms"]["d^2"] == "1/2"
+
+
+def test_segre_symbolic_n9_on_a_closed_form_cache(capsys, monkeypatch, tmp_path):
+    # d takes its 10 lattice values, so N_9 interpolates; the cache holds
+    # the closed form on the grid of N_9, so no chain is computed
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("segre_series was called")
+
+    path = tmp_path / "cache.jsonl"
+    sampler = segre.Sampler(str(path))
+    for params in segre.sample_grid(9, len(segre.support_monomials(9)) + segre.EXTRA_POINTS):
+        d, pi, kappa, b2 = params
+        values = conjecture_series(d, pi, kappa, 4 + b2, 9)
+        for n in range(10):
+            sampler.store(n, params, values.coefficient(n))
+    monkeypatch.setattr(segre, "segre_series", no_sampling)
+    code, out = run_cli(capsys, "segre", "--n", "9", "--symbolic", "--cache", str(path))
+    assert code == 0
+    assert json.loads(out)["result"]["terms"]["d^9"] == "1/362880"
 
 
 def test_segre_degenerate_model(capsys):
@@ -288,7 +308,6 @@ def test_console_entry_point():
         ["verify", "e-op", "--max-n", "5"],
         ["verify", "goettsche-dim", "--seed", "5"],
         ["verify", "worked-example", "--max-n", "3"],
-        ["segre", "--n", "9", "--symbolic"],
         ["segre", "--n", "2", "--symbolic", "--jobs", "0"],
         ["dm", "--max-m", "2", "--jobs", "-1"],
     ],
@@ -303,7 +322,6 @@ def test_console_entry_point():
         "verify-e-op-over-largest",
         "verify-seed-unseeded-suite",
         "verify-size-unsized-suite",
-        "segre-symbolic-rank-deficient",
         "segre-jobs-zero",
         "dm-jobs-negative",
     ],

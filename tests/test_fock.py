@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 from functools import cache
 
+import pytest
+
 from hilbfock import dimension, integrate_hilb, new_model, pairing, vacuum
 from hilbfock.fock import (
     FockVector,
@@ -111,6 +113,8 @@ def test_integrate_hilb(engine, model):
     v = engine.q(1, model.point(), engine.q(1, model.point(), vacuum()))
     assert integrate_hilb(v, 2, model) == 1
     assert integrate_hilb(v, 1, model) == 0
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        integrate_hilb(v, -1, model)
 
 
 def test_integrate_hilb_equals_fundamental_pairing(engine_b2, model_b2):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -116,21 +117,36 @@ def test_interpolated_polynomial_is_the_direct_value(sampler):
                 assert poly.evaluate(d, pi, kappa, 4 + b2) == direct[n], (params, n)
 
 
+def _random_grid(n, count, seed, avoid):
+    # distinct nondegenerate models with d in 1..9, pi and kappa in -4..4
+    # and b2_extra cycling through 0..n//2, none of them in avoid
+    rng = random.Random(seed)
+    b2_cycle = itertools.cycle(range(n // 2 + 1))
+    out = []
+    while len(out) < count:
+        d, pi, kappa = Q(rng.randint(1, 9)), Q(rng.randint(-4, 4)), Q(rng.randint(-4, 4))
+        if d * kappa != pi * pi:
+            point = (d, pi, kappa, next(b2_cycle))
+            if point not in avoid and point not in out:
+                out.append(point)
+    return out
+
+
 def test_disjoint_grid_gives_the_same_polynomial(sampler):
-    # the support bound and the surplus equations pin N_n down, so a grid
-    # of another seed, sharing no point with the default one, agrees
+    # the support bound and the surplus equations pin N_n down, so the
+    # general solver on random models, sharing no point with the lattice
+    # grid, agrees with the divided differences there
     for n in range(6):
         support = support_monomials(n)
         count = len(support) + segre.EXTRA_POINTS
-        grid = sample_grid(n, count, seed=3)
-        assert not set(grid) & set(sample_grid(n, count))
+        grid = _random_grid(n, count, 3, set(sample_grid(n, count)))
         values = [sampler.value(n, p) for p in grid]
         assert segre._interpolate(support, grid, values) == segre_polynomial(n, sampler)
 
 
 def test_interpolate_at_rational_points():
-    # the sample grid and the fit tuples are integer points, so only here
-    # are the rows scaled by the denominators of the point
+    # the sample grid and the fit tuples are integer points; the general
+    # fit must hold at rational ones too
     rng = random.Random(13)
     support = support_monomials(3)
     poly = UnivPoly({ex: Q(rng.randint(-50, 50), rng.randint(1, 9)) for ex in support})
@@ -173,6 +189,24 @@ def test_solver_flags_inconsistency():
         solve_overdetermined(rows, [Q(1), Q(2)])
     with pytest.raises(ValueError):
         solve_overdetermined([[Q(0), Q(1)], [Q(0), Q(2)]], [Q(0), Q(0)])
+    with pytest.raises(ValueError, match="empty system"):
+        solve_overdetermined([], [])
+
+
+def test_dm_coefficients_need_n0_one():
+    with pytest.raises(ValueError, match="N_0 must be 1"):
+        dm_coefficients([UnivPoly({(0, 0, 0, 0): 2}), UnivPoly({(1, 0, 0, 0): 1})])
+
+
+def test_fit_refuses_a_constant_term():
+    # N_1 = d + 1 at every fit tuple: d_1 = d + 1 is linear, but not in
+    # (d, pi, kappa, e) alone
+    sampler = Sampler()
+    for params in segre._FIT_TUPLES:
+        sampler.store(0, params, Q(1))
+        sampler.store(1, params, params[0] + 1)
+    with pytest.raises(InconsistentSamples, match="d_1 has a nonzero constant term"):
+        segre.fit_dm_linear(1, sampler)
 
 
 def test_dm_coefficients_match_known(sampler):
@@ -439,16 +473,27 @@ def test_two_processes_share_a_new_cache_file(tmp_path):
 
 # -- the interpolation grid --------------------------------------------------
 
-def test_sample_grid_unchanged_up_to_n7():
-    # digest of the grids segre_polynomial used for n <= 7 before the cap
-    # on b2_extra (at most 3) was lifted; those grids must stay the same
+def test_sample_grid_is_the_lattice_then_surplus_points():
+    # the grid of N_n starts with the lattice point (1 + a, b, -1 - c, f) of
+    # each exponent of its support, in support order; its points are
+    # distinct and nondegenerate, and the lattices nest
+    lattices = []
+    for n in range(13):
+        support = support_monomials(n)
+        grid = sample_grid(n, len(support) + segre.EXTRA_POINTS)
+        lattice = grid[: len(support)]
+        assert lattice == [(1 + a, b, -1 - c, f) for a, b, c, f in support]
+        assert len(set(grid)) == len(grid)
+        assert all(d * kappa != pi * pi for d, pi, kappa, _ in grid)
+        lattices.append(set(lattice))
+    assert all(a < b for a, b in zip(lattices, lattices[1:]))
     h = hashlib.sha256()
-    for n in range(8):
+    for n in range(9):
         for d, pi, kappa, b2 in sample_grid(n, len(support_monomials(n)) + 3):
             h.update(("%s %s %s %d;" % (d, pi, kappa, b2)).encode())
     assert h.hexdigest() == (
-        "5e5e40c3f245a27283df043dc68c1815"
-        "c40ab30fe9d679c5f84bd5a14f9492a0"
+        "ffbdff6bb8c24397b4f39865813f6742"
+        "d729c4bfebc72f8ea3726d711c9293cd"
     )
 
 
@@ -511,14 +556,32 @@ def test_pool_has_no_more_workers_than_missing_samples(monkeypatch):
         assert sampler.series(2, params) == segre_series(2, new_model(*params))
 
 
-def test_rank_deficient_grid_is_refused_before_sampling(monkeypatch):
-    # on 9 values of d the column of d^9 depends on those of d^0..d^8
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("segre_series was called")
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("segre_series was called")
 
-    monkeypatch.setattr(segre, "segre_series", no_sampling)
-    with pytest.raises(ValueError, match="rank deficient"):
-        segre_polynomial(9, Sampler())
+
+def _closed_form_sampler(n):
+    """A sampler holding N_0..N_n from the closed form on the grid of N_n."""
+    sampler = Sampler()
+    for params in sample_grid(n, len(support_monomials(n)) + segre.EXTRA_POINTS):
+        d, pi, kappa, b2 = params
+        values = conjecture_series(d, pi, kappa, 4 + b2, n)
+        for j in range(n + 1):
+            sampler.store(j, params, values.coefficient(j))
+    return sampler
+
+
+def _closed_form_agrees(poly, n, seed):
+    # at 4 rational points off the grid of N_n
+    grid = set(sample_grid(n, len(support_monomials(n)) + segre.EXTRA_POINTS))
+    rng = random.Random(seed)
+    points = []
+    while len(points) < 4:
+        point = tuple(Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+        if point[:3] + (point[3] - 4,) not in grid:
+            points.append(point)
+    for point in points:
+        assert poly.evaluate(*point) == conjecture_series(*point, n).coefficient(n), point
 
 
 # -- the exact solver ----------------------------------------------------------
@@ -699,10 +762,10 @@ def test_solver_agrees_with_bareiss_reference(system, data):
 
 
 def test_solver_survives_an_unlucky_prime():
-    # modulo the solver's first prime p, [[1, 1], [1, 1 + p]] and [[p]] lose
-    # rank, so only the exact kernel check sends the solve on to the next
-    # prime; the row [2, 3] restores the rank modulo p
-    p = segre._modulus(0)
+    # modulo the prime p = 2^30 - 35, [[1, 1], [1, 1 + p]] and [[p]] lose
+    # rank; over the rationals they have full rank, and the row [2, 3]
+    # restores the rank modulo p
+    p = 2**30 - 35
     rows = [[Q(1), Q(1)], [Q(1), Q(1 + p)], [Q(2), Q(3)]]
     rhs = [Q(2), Q(2 + p), Q(5)]
     assert solve_overdetermined(rows, rhs) == [1, 1]
@@ -710,141 +773,32 @@ def test_solver_survives_an_unlucky_prime():
     assert solve_overdetermined([[Q(p)]], [Q(3)]) == [Q(3, p)]
 
 
-# -- the modular elimination ---------------------------------------------------
-
-def _eliminate_mod_reference(mat, p):
-    """Reference elimination: ``segre._eliminate_mod`` on lists of residues.
-
-    Each working row is a list reduced modulo p after every update; same
-    pivots, multipliers and ``solve_mod`` as the packed rows.
-    """
-    work = [[x % p for x in row] for row in mat]
-    live = list(range(len(mat)))
-    steps = []  # (pivot row, pivot column, inverse of the pivot, [(row, multiplier)])
-    for col in range(len(mat[0])):
-        src = next((i for i in live if work[i][col]), None)
-        if src is None:
-            continue
-        live.remove(src)
-        top = work[src]
-        inv = pow(top[col], -1, p)
-        # left of col every row not yet a pivot is zero, and column col is
-        # not read again below the pivot
-        tail = top[col + 1:] = [x * inv % p for x in top[col + 1:]]
-        targets = []
-        for i in live:
-            row = work[i]
-            f = row[col]
-            if f:
-                row[col + 1:] = [(x - f * y) % p for x, y in zip(row[col + 1:], tail)]
-                targets.append((i, f))
-        steps.append((src, col, inv, targets))
-    piv_rows = [s[0] for s in steps]
-    piv_cols = [s[1] for s in steps]
-    pos = {i: k for k, i in enumerate(piv_rows)}
-    replay = [
-        (inv, [(pos[i], f) for i, f in targets if i in pos])
-        for _, _, inv, targets in steps
-    ]
-    upper = [
-        [(l, u) for l, u in enumerate(work[i][c] for c in piv_cols) if l > k and u]
-        for k, i in enumerate(piv_rows)
-    ]
-
-    def solve_mod(vec):
-        v = [x % p for x in vec]
-        for k, (inv, targets) in enumerate(replay):
-            t = v[k] = v[k] * inv % p
-            for i, f in targets:
-                v[i] = (v[i] - f * t) % p
-        y = [0] * len(v)
-        for k in range(len(v) - 1, -1, -1):
-            acc = v[k]
-            for l, u in upper[k]:
-                acc -= u * y[l]
-            y[k] = acc % p
-        return y
-
-    return piv_rows, piv_cols, solve_mod
-
-
-def _same_elimination(mat, p, vectors):
-    rows, cols, solve = segre._eliminate_mod(mat, p)
-    ref_rows, ref_cols, ref_solve = _eliminate_mod_reference(mat, p)
-    assert (rows, cols) == (ref_rows, ref_cols)
-    for vec in vectors:
-        assert solve(vec[: len(rows)]) == ref_solve(vec[: len(rows)])
-
-
-@st.composite
-def residue_systems(draw):
-    """(matrix, prime): small, large, negative and multiple-of-p entries,
-    with any mix of a zero column, a duplicated column and a dependent row."""
-    p = draw(st.sampled_from((2, 3, 5, 7, segre._modulus(0))))
-    entry = st.one_of(
-        st.integers(-9, 9),
-        st.integers(-(2**70), 2**70),
-        st.builds(lambda k, r: k * p + r, st.integers(-3, 3), st.integers(-1, 1)),
-    )
-    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    mat = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
-    if draw(st.booleans(), label="insert a zero column"):
-        at = draw(st.integers(0, ncols))
-        mat = [r[:at] + [0] + r[at:] for r in mat]
-    if draw(st.booleans(), label="duplicate a column"):
-        j, at = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols))
-        mat = [r[:at] + [r[j]] + r[at:] for r in mat]
-    if draw(st.booleans(), label="add a dependent row"):
-        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-        i, k = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
-        row = [a * x + b * y for x, y in zip(mat[i], mat[k])]
-        mat.insert(draw(st.integers(0, nrows)), row)
-    return mat, p
-
-
-@settings(max_examples=200, deadline=None)
-@given(residue_systems(), st.data())
-def test_packed_elimination_matches_the_reference(system, data):
-    # same pivot rows and columns, and the same solve_mod on random vectors
-    mat, p = system
-    vec = st.lists(st.integers(-(2**64), 2**64), min_size=len(mat), max_size=len(mat))
-    _same_elimination(mat, p, [data.draw(vec) for _ in range(3)])
-
-
-def test_packed_elimination_matches_the_reference_on_n8():
-    # the largest accepted system: 213 sample rows, 210 unknowns
-    monos = support_monomials(8)
-    mat = [
-        [int(d) ** a * int(pi) ** b * int(kappa) ** c * (4 + b2) ** f for a, b, c, f in monos]
-        for d, pi, kappa, b2 in sample_grid(8, len(monos) + segre.EXTRA_POINTS)
-    ]
-    assert (len(mat), len(mat[0])) == (213, 210)
-    rng = random.Random(8)
-    _same_elimination(
-        mat, segre._modulus(0), [[rng.randint(-(2**90), 2**90) for _ in mat] for _ in range(2)]
-    )
-
-
 def test_n8_by_interpolation(monkeypatch):
-    # N_8 from closed-form samples, with the chain switched off: the solver
-    # at its largest accepted size
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("segre_series was called")
+    # N_8 from closed-form samples, with the chain switched off
+    monkeypatch.setattr(segre, "segre_series", _no_sampling)
+    _closed_form_agrees(segre_polynomial(8, _closed_form_sampler(8)), 8, 88)
 
-    monkeypatch.setattr(segre, "segre_series", no_sampling)
-    grid = sample_grid(8, len(support_monomials(8)) + segre.EXTRA_POINTS)
-    sampler = Sampler()
-    for params in grid:
-        d, pi, kappa, b2 = params
-        values = conjecture_series(d, pi, kappa, 4 + b2, 8)
-        for n in range(9):
-            sampler.store(n, params, values.coefficient(n))
-    poly = segre_polynomial(8, sampler)
-    rng = random.Random(88)
-    points = []
-    while len(points) < 4:
-        point = tuple(Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
-        if point[:3] + (point[3] - 4,) not in grid:
-            points.append(point)
-    for point in points:
-        assert poly.evaluate(*point) == conjecture_series(*point, 8).coefficient(8), point
+
+def test_n9_by_interpolation(monkeypatch):
+    # d^9 is in the support of N_9, and d takes its 10 lattice values
+    monkeypatch.setattr(segre, "segre_series", _no_sampling)
+    _closed_form_agrees(segre_polynomial(9, _closed_form_sampler(9)), 9, 99)
+
+
+@pytest.mark.parametrize("surplus", [False, True], ids=["lattice", "surplus"])
+def test_perturbed_sample_is_refused(monkeypatch, surplus):
+    # a wrong value at any lattice point moves the interpolant off some
+    # surplus point; a wrong surplus value misses the interpolant
+    monkeypatch.setattr(segre, "segre_series", _no_sampling)
+    n = 4
+    sampler = _closed_form_sampler(n)
+    size = len(support_monomials(n))
+    grid = sample_grid(n, size + segre.EXTRA_POINTS)
+    want = segre_polynomial(n, sampler)
+    for params in grid[size:] if surplus else grid[:size]:
+        value = sampler._mem[(n, params)]
+        sampler._mem[(n, params)] = value + Q(1, 3)
+        with pytest.raises(InconsistentSamples):
+            segre_polynomial(n, sampler)
+        sampler._mem[(n, params)] = value
+    assert segre_polynomial(n, sampler) == want

@@ -34,6 +34,15 @@ def test_exp_requires_zero_constant():
         PowerSeries([2, 1], 3).log()
 
 
+def test_refusals_of_order_pow_and_compose():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        PowerSeries([1], order=-1)
+    with pytest.raises(InvalidConstantTerm, match="pow needs constant term one"):
+        PowerSeries([2, 1], 3).pow(Q(1, 2))
+    with pytest.raises(InvalidConstantTerm, match="composition needs inner constant term zero"):
+        PowerSeries([1, 1], 3).compose(PowerSeries([1, 1], 3))
+
+
 def test_pow_rational():
     f = PowerSeries([1, 1], 4)
     g = f.pow(Q(1, 2))

@@ -137,6 +137,21 @@ def test_kclass_sum_whitney(model):
     assert s.chern_character(model) == L1.chern_character(model) + L2.chern_character(model)
 
 
+@pytest.mark.parametrize(
+    "c1, c2, message",
+    [
+        ({"1": 1}, {}, "c1 must be a degree-2 class"),
+        ({"h": 1, "pt": 2}, {}, "c1 must be a degree-2 class"),
+        ({"h": 1}, {"k": 1}, "c2 must be a degree-4 class"),
+        ({"h": 1}, {"pt": 1, "1": 1}, "c2 must be a degree-4 class"),
+    ],
+    ids=["c1-unit", "c1-point", "c2-k", "c2-unit"],
+)
+def test_kclass_refuses_chern_classes_of_the_wrong_degree(c1, c2, message):
+    with pytest.raises(ValueError, match=message):
+        KClassSpec(2, CohClass(c1), CohClass(c2))
+
+
 def test_parse_and_render_class(model):
     c = parse_class("2h-k", model)
     assert c == CohClass({"h": 2, "k": -1})
