@@ -39,7 +39,7 @@ columns, built from a cut-table entry c/2 and two oscillators, are over
 ``_den * _qden``.  Monomial tuples and ``Fraction``s
 appear only at the public operators, which convert a :class:`FockVector`
 in and out once per call.
-The higher derivatives ad^nu(q_n) and the Chern class operators act on
+The derivatives ad^nu(q_n) and the Chern class operators act on
 whole vectors through one integer kernel, :meth:`OperatorEngine._ad_series`,
 which sums Horner's rule into one integer accumulator over a denominator
 fixed before its loop and can form the part of one degree alone; the top
@@ -349,7 +349,7 @@ class OperatorEngine:
         """The sum over ``(b, c)`` in ``series`` and over nu of
         ``b(nu) * ad^nu(q_n(c)) v``, where ad is the commutator with the
         boundary operator D; with ``degree``, only its degree-``degree`` part.
-        :meth:`q_derivative` of an order >= 2 is one call on the one-entry
+        :meth:`q_derivative` of any order is one call on the one-entry
         series b_nu = [nu = order], and the Chern class operators one call
         per weight step.
 
@@ -445,16 +445,12 @@ class OperatorEngine:
         """The order-th derivative ad^order(q_n(a)) v, ad the commutator
         with the boundary operator D.
 
-        Order 0 reads the q columns and order 1 the memoized q' columns
-        [D, q_n(s)]; a higher order is one :meth:`_ad_series` pass on the
-        one-entry series b_nu = [nu = order].
+        Every order is one :meth:`_ad_series` pass on the one-entry series
+        b_nu = [nu = order], so order 1 derives [D, q_n(a)] v apart from
+        the memoized q' columns that :func:`verify.suite_derivative` reads.
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
-        if order == 0:
-            return self.q(n, a, v)
-        if order == 1:
-            return self._apply(self._qp_cache, n, a, v)
         series = [(lambda nu: int(nu == order), a.terms)]
         return self._out(self._ad_series(n, series, self._in(v)))
 

@@ -24,13 +24,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .fock import integrate_hilb
 from .linear import Combination, q_str, rat, render_sum
 from .operators import OperatorEngine
-from .series import PowerSeries, conjecture_series
+from .series import PowerSeries, conjecture_series, log_coefficients
 from .surface import KClassSpec, SurfaceModel, new_model
 
 Q = Fraction
 
 Expo = Tuple[int, int, int, int]  # exponents of d, pi, kappa, e
-Params = Tuple[Q, Q, Q, int]  # (d, pi, kappa, b2_extra)
+Params = Tuple[Q, Q, Q, int]  # (d, pi, kappa, b2_extra); an int serves as a Q
 
 
 class InconsistentSamples(ValueError):
@@ -149,10 +149,12 @@ class Sampler:
 
     The optional cache file is append-only JSON lines; the first line is a
     header recording the engine version, and each record stores one value
-    with all rationals as canonical ``p/q`` strings.  A file whose header
-    is unreadable or names another engine version is not loaded, and is
-    rewritten with a fresh header before the first new record, so that new
-    records are not appended below the stale header and lost on reload.
+    with all rationals as canonical ``p/q`` strings; a load reads them as
+    Fractions, which hash and compare as the ints they equal, so a point of
+    ints finds them.  A file whose header is unreadable or names another
+    engine version is not loaded, and is rewritten with a fresh header
+    before the first new record, so that new records are not appended
+    below the stale header and lost on reload.
     Record lines that do not decode to a complete record, with JSON
     integers for ``n`` and ``b2_extra`` and JSON strings for the rationals,
     are skipped and counted in ``corrupt_lines``; a byte that is not UTF-8
@@ -168,9 +170,6 @@ class Sampler:
         self.cache_path = cache_path
         self.jobs = jobs
         self._mem: Dict[Tuple[int, Params], Q] = {}
-        #: point -> k such that N_0 .. N_(k-1) are all in _mem there, as far
-        #: as the load and :meth:`_holds` have looked; values are never removed
-        self._held: Dict[Params, int] = {}
         #: record lines of the cache file that could not be decoded
         self.corrupt_lines = 0
         if cache_path:
@@ -191,10 +190,8 @@ class Sampler:
             lines = fh.read().split("\n")
         if not lines or not _is_header(lines[0]):
             return
-        # each point is stored once per n; its strings are parsed once, and
-        # the orders n loaded are collected by its strings
+        # each point is stored once per n; its strings are parsed once
         parsed: Dict[tuple, Params] = {}
-        orders: Dict[tuple, set] = {}
         for ln in filter(str.strip, lines[1:]):
             try:
                 rec = json.loads(ln)
@@ -210,10 +207,6 @@ class Sampler:
                 self._mem[(n, params)] = Q(value)
             except (KeyError, TypeError, ValueError, ArithmeticError):
                 self.corrupt_lines += 1
-            else:
-                orders.setdefault(raw, set()).add(n)
-        for raw, ns in orders.items():
-            self._held[parsed[raw]] = next(k for k in itertools.count() if k not in ns)
 
     def _append(self, n: int, params: Params, value: Q) -> None:
         from . import ENGINE_VERSION
@@ -270,16 +263,8 @@ class Sampler:
                 self.store(j, params, v)
 
     def _holds(self, n_max: int, p: Params) -> bool:
-        """Whether N_0 .. N_n_max are all held at p.  The run of orders
-        held is remembered from the load and from earlier calls, so a warm
-        point costs one lookup, not one per order: each lookup hashes the
-        point's ``Fraction``s."""
-        k = old = self._held.get(p, 0)
-        while k <= n_max and (k, p) in self._mem:
-            k += 1
-        if k != old:
-            self._held[p] = k
-        return k > n_max
+        """Whether N_0 .. N_n_max are all held at p."""
+        return all((k, p) in self._mem for k in range(n_max + 1))
 
     def series(self, n_max: int, params: Params) -> List[Q]:
         self.fill(n_max, [params])
@@ -302,20 +287,28 @@ def _series_worker(args) -> Tuple[Params, List[Q]]:
 _ORIGIN, _STEP = (1, 0, -1, 4), (1, 1, -1, 1)
 
 
-def sample_grid(n: int, count: int, seed: int = 20260826) -> List[Params]:
-    """The lattice point (d, pi, kappa, b2_extra) = (1 + a, b, -1 - c, f) of
-    each exponent (a, b, c, f) of ``support_monomials(n)``, in that order,
-    then ``count - |support|`` distinct nondegenerate models off the lattice
-    from ``seed``: d in 1..9, pi and kappa in -4..4, ``b2_extra`` cycling
-    through 0..n//2.  As d kappa < 0 <= pi^2 no lattice model is degenerate,
-    and the lattice of n lies in that of n + 1.
+#: The seed of the surplus points of :func:`sample_grid`.
+_GRID_SEED = 20260826
+
+
+def sample_grid(n: int, count: int) -> List[Params]:
+    """The lattice point (d, pi, kappa, b2_extra) = (1 + a, b, -1 - c, f)
+    of each exponent (a, b, c, f) of ``support_monomials(n)``, in that
+    order, then ``count - |support|`` distinct nondegenerate models off the
+    lattice from ``_GRID_SEED``: d in 1..9, pi and kappa in -4..4,
+    ``b2_extra`` cycling through 0..n//2.  The points are tuples of ints.
+    As d kappa < 0 <= pi^2 no lattice model is degenerate, and the lattice
+    of n lies in that of n + 1.
     """
-    lattice = [(Q(1 + a), Q(b), Q(-1 - c), f) for a, b, c, f in support_monomials(n)]
+    lattice = []
+    for ex in support_monomials(n):
+        d, pi, kappa, e = (o + s * k for o, s, k in zip(_ORIGIN, _STEP, ex))
+        lattice.append((d, pi, kappa, e - 4))
     out, seen = lattice[:count], set(lattice)
-    rng = random.Random(seed)
+    rng = random.Random(_GRID_SEED)
     b2_cycle = itertools.cycle(range(n // 2 + 1))
     while len(out) < count:
-        d, pi, kappa = Q(rng.randint(1, 9)), Q(rng.randint(-4, 4)), Q(rng.randint(-4, 4))
+        d, pi, kappa = rng.randint(1, 9), rng.randint(-4, 4), rng.randint(-4, 4)
         if d * kappa != pi * pi and (key := (d, pi, kappa, next(b2_cycle))) not in seen:
             seen.add(key)
             out.append(key)
@@ -432,19 +425,11 @@ def dm_coefficients(polys: Sequence[UnivPoly]) -> List[UnivPoly]:
     Defined through log(sum N_n z^n) = sum of (-1)^(m-1) d_m z^m / m; each
     d_m must come out linear in (d, pi, kappa, e), which is asserted.
     """
-    n_max = len(polys) - 1
     if polys[0] != UnivPoly({(0, 0, 0, 0): 1}):
         raise ValueError("N_0 must be 1")
-    # formal log via the derivative recurrence, with UnivPoly coefficients
-    L: List[UnivPoly] = [UnivPoly() for _ in range(n_max + 1)]
-    for n in range(1, n_max + 1):
-        acc = polys[n].scale(n)
-        for k in range(1, n):
-            if not L[k].is_zero():
-                acc = acc - L[k].scale(k) * polys[n - k]
-        L[n] = acc.scale(Q(1, n))
+    L = log_coefficients(polys)
     out = [UnivPoly()]
-    for m in range(1, n_max + 1):
+    for m in range(1, len(polys)):
         dm = L[m].scale(Q((-1) ** (m - 1)) * m)
         if not dm.is_linear():
             raise InconsistentSamples(
@@ -455,12 +440,12 @@ def dm_coefficients(polys: Sequence[UnivPoly]) -> List[UnivPoly]:
 
 
 _FIT_TUPLES: Tuple[Params, ...] = (
-    (Q(1), Q(0), Q(-1), 0),
-    (Q(2), Q(1), Q(-1), 0),
-    (Q(3), Q(-1), Q(2), 0),
-    (Q(1), Q(1), Q(2), 0),
-    (Q(2), Q(-1), Q(1), 1),
-    (Q(3), Q(2), Q(2), 1),
+    (1, 0, -1, 0),
+    (2, 1, -1, 0),
+    (3, -1, 2, 0),
+    (1, 1, 2, 0),
+    (2, -1, 1, 1),
+    (3, 2, 2, 1),
 )
 
 

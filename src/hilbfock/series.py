@@ -24,6 +24,20 @@ class NotInvertible(ValueError):
     """The series cannot be reverted (compositionally inverted)."""
 
 
+def log_coefficients(f: Sequence) -> list:
+    """The coefficients g_0 = 0, g_1, .. of log(f_0 + f_1 z + ..) for f_0
+    = 1, by the recurrence n g_n = n f_n - sum_(0<k<n) k g_k f_(n-k).  The
+    f_n may be rationals or any ring elements that a rational scales, such
+    as polynomials; the caller checks f_0."""
+    g = [0 * f[0]] * len(f)
+    for n in range(1, len(f)):
+        s = n * f[n]
+        for k in range(1, n):
+            s -= k * g[k] * f[n - k]
+        g[n] = Q(1, n) * s
+    return g
+
+
 class PowerSeries:
     """A power series truncated at a fixed order (inclusive)."""
 
@@ -119,15 +133,7 @@ class PowerSeries:
     def log(self) -> "PowerSeries":
         if self.coeffs[0] != 1:
             raise InvalidConstantTerm("log needs constant term one")
-        N = self.order
-        g = [Q(0)] * (N + 1)
-        for n in range(1, N + 1):
-            s = n * self.coefficient(n)
-            for k in range(1, n):
-                if g[k]:
-                    s -= k * g[k] * self.coefficient(n - k)
-            g[n] = s / n
-        return PowerSeries(g)
+        return PowerSeries(log_coefficients(self.coeffs))
 
     def pow(self, a) -> "PowerSeries":
         """Rational power of a series with constant term one."""

@@ -7,8 +7,8 @@ in :data:`SUITES`, with the size and seed it takes, as a function that
 returns its report.  The suite counts every case it evaluates as one check
 and stops at the first case with ``lhs != rhs``.  The report gives the
 suite name, the number of checks, a pass flag and the counterexample dict
-of that case (None if there is none).  A suite that made no check does
-not pass.
+of that case (None if there is none), and the size and seed it ran with
+(None when it takes none).  A suite that made no check does not pass.
 """
 
 from __future__ import annotations
@@ -52,11 +52,17 @@ def _suite(name: str, size: Optional[str] = None, largest: Optional[int] = None)
     name, docstring and parameters.  ``size`` is the keyword that
     :func:`run_suite` sets from ``max_n`` (None: the suite takes no size)
     and ``largest`` the largest value accepted for it (None: no limit).
-    The suite takes a seed when the generator has a ``seed`` parameter."""
+    The suite takes a seed when the generator has a ``seed`` parameter,
+    and its report names the values of both that the call bound."""
 
     def decorate(cases: Callable[..., Iterator[Case]]) -> Callable[..., dict]:
+        code = cases.__code__
+        names = code.co_varnames[: code.co_argcount]
+        defaults = dict(zip(reversed(names), reversed(cases.__defaults__ or ())))
+
         @wraps(cases)
         def suite(*args, **kwargs) -> dict:
+            bound = dict(defaults, **dict(zip(names, args)), **kwargs)
             checks = 0
             counterexample = None
             for lhs, rhs, where in cases(*args, **kwargs):
@@ -66,14 +72,15 @@ def _suite(name: str, size: Optional[str] = None, largest: Optional[int] = None)
                     break
             return {
                 "suite": name,
+                "size": bound.get(size),
+                "seed": bound.get("seed"),
                 "checks": checks,
                 "pass": counterexample is None and checks > 0,
                 "counterexample": counterexample,
             }
 
-        code = cases.__code__
         suite.size, suite.largest = size, largest
-        suite.seeded = "seed" in code.co_varnames[: code.co_argcount]
+        suite.seeded = "seed" in names
         SUITES[name] = suite
         return suite
 
@@ -391,11 +398,10 @@ def suite_chern_line(
 # -- affine plane ----------------------------------------------------------
 
 @_suite("affine", "gen_max")
-def suite_affine(
-    gen_max: int = 8, bracket_weight: int = 6, seed: int = 7
-) -> Iterator[Case]:
+def suite_affine(gen_max: int = 8, seed: int = 7) -> Iterator[Case]:
     """Structural identities of the affine-plane model."""
     rng = random.Random(seed)
+    bracket_weight = 6  # of the random polynomials
 
     def random_poly():
         data = {}

@@ -243,7 +243,7 @@ def test_monomial_table_round_trips():
         a = CohClass({sym: 1})
         for m in (-2, -1, 2):
             eng.virasoro(m, a, v)
-            eng.q_derivative(m, 1, a, v)
+            eng._apply(eng._qp_cache, m, a, v)
             eng.e_op(abs(m), a, v)
     monos = eng._monos
     assert len(eng._ids) == len(monos) == len(set(monos)) == len(eng._degs) > 100
@@ -266,7 +266,7 @@ def test_engine_is_freed_by_reference_counting():
         eng.q(-2, a, v)
         eng.virasoro(1, a, v)
         eng.e_op(1, a, v)
-        eng.q_derivative(2, 1, a, v)
+        eng._apply(eng._qp_cache, 2, a, v)
         eng.boundary(v)
         families = ("_q_cache", "_L_cache", "_e_cache", "_qp_cache", "_b_cache")
         assert all(len(getattr(eng, f)) for f in families)
@@ -304,7 +304,7 @@ def test_memo_lengths_are_the_columns_held(monkeypatch):
     assert lengths == {"q": len(basis), "L": 0, "qp": 0, "b": len(basis), "qd": 0}
     for sym in model.symbols:
         eng.virasoro(-1, CohClass({sym: 1}), v)
-        eng.q_derivative(2, 1, CohClass({sym: 1}), v)
+        eng._apply(eng._qp_cache, 2, CohClass({sym: 1}), v)
     for k, attr in MEMOS.items():
         table = getattr(eng, attr)
         assert len(table) == _columns_held(table), k
@@ -460,8 +460,29 @@ def test_second_derivative_recursion(engine, engine_b2, engine_rational):
                     where = (model, M, n, sym)
                     assert eng.boundary(s_v) - s_dv == s_v - eng.q(n, a, v), where
                     d1 = mono_degree(M, model) + 2 * n + model.degree[sym]
-                    assert _degree_part(s_v, d1, model) == eng.q_derivative(n, 1, a, v), where
-                    assert _degree_part(s_dv, d1 + 2, model) == eng.q_derivative(n, 1, a, dv), where
+                    qp = partial(eng._apply, eng._qp_cache, n, a)
+                    assert _degree_part(s_v, d1, model) == qp(v), where
+                    assert _degree_part(s_dv, d1 + 2, model) == qp(dv), where
+
+
+def test_derivative_orders_0_and_1_are_the_q_and_q_prime_columns(
+    engine, engine_b2, engine_rational
+):
+    # q_derivative is one kernel pass at every order, so at orders 0 and 1
+    # it derives apart from the q columns and the memoized q' columns that
+    # suite_derivative reads: on every basis class times 2/3, n = -3..3 and
+    # 40 monomials of weight <= 3 the two must agree
+    rng = random.Random(25)
+    for eng in (engine, engine_b2, engine_rational):
+        model = eng.model
+        for M in rng.sample(monomials(model, 3), 40):
+            v = FockVector({M: 1})
+            for n in range(-3, 4):
+                for sym in model.symbols:
+                    a, where = CohClass({sym: Q(2, 3)}), (model, M, n, sym)
+                    assert eng.q_derivative(n, 0, a, v) == eng.q(n, a, v), where
+                    qp = eng._apply(eng._qp_cache, n, a, v)
+                    assert eng.q_derivative(n, 1, a, v) == qp, where
 
 
 def test_derivative_order_edges(engine, engine_b2):

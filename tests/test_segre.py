@@ -28,7 +28,7 @@ from hilbfock.segre import (
     solve_overdetermined,
     support_monomials,
 )
-from hilbfock.series import PowerSeries, conjecture_series
+from hilbfock.series import PowerSeries, conjecture_series, log_coefficients
 
 
 def n2_poly():
@@ -255,6 +255,16 @@ def test_known_dm_give_integral_segre_numbers(point):
     assert [n for n, x in enumerate(values) if x.denominator != 1] == []
 
 
+def test_log_coefficients_commute_with_evaluation():
+    # one recurrence takes the log of N_0 + N_1 z + ... with polynomial
+    # coefficients (dm_coefficients) or rational ones (PowerSeries.log)
+    polys = [UnivPoly({(0, 0, 0, 0): 1}), UnivPoly({(1, 0, 0, 0): 1}), n2_poly(), n3_poly()]
+    logs = log_coefficients(polys)
+    for point in [(Q(3, 2), Q(1, 3), Q(-2), Q(5)), (Q(7), Q(-2), Q(5, 4), Q(9))]:
+        series = PowerSeries([p.evaluate(*point) for p in polys])
+        assert [g.evaluate(*point) for g in logs] == list(series.log().coeffs)
+
+
 def test_dm_rejects_nonlinear():
     one = UnivPoly({(0, 0, 0, 0): 1})
     bad = [one, UnivPoly({(1, 0, 0, 0): 1}), UnivPoly({(2, 0, 0, 0): 1})]
@@ -284,11 +294,30 @@ def test_cache_file_round_trip(tmp_path):
     assert s2._mem[(2, (Q(1), Q(0), Q(-1), 0))] == Q(-2)
 
 
+@pytest.mark.parametrize(
+    "stored, asked",
+    [((Q(1), Q(0), Q(-1), 0), (1, 0, -1, 0)), ((1, 0, -1, 0), (Q(1), Q(0), Q(-1), 0))],
+    ids=["fraction-stored", "int-stored"],
+)
+def test_int_and_fraction_points_share_values(monkeypatch, stored, asked):
+    # the package's points are ints and a cache load makes Fractions: both
+    # hash and compare alike, so either finds the values of the other
+    sampler = Sampler()
+    for n in range(3):
+        sampler.store(n, stored, Q(n - 1))
+    monkeypatch.setattr(segre, "segre_series", _no_sampling)
+    sampler.fill(2, [asked])
+    assert sampler.series(2, asked) == [Q(-1), Q(0), Q(1)]
+    assert sampler.value(1, asked) == Q(0)
+
+
 def test_fill_computes_only_the_points_missing_an_order(tmp_path, monkeypatch):
     # a point holding N_0..N_2 is complete up to 2 and one with a gap at
-    # N_1 is not, whether the sampler stored them or loaded them from a file
+    # N_1 is not, whether the sampler stored them or loaded them from a
+    # file; the points are ints, as sample_grid makes them, and a load
+    # reads them back as Fractions
     path = str(tmp_path / "cache.jsonl")
-    full, gap = (Q(1), Q(0), Q(-1), 0), (Q(2), Q(1), Q(-1), 0)
+    full, gap = (1, 0, -1, 0), (2, 1, -1, 0)
     s1 = Sampler(path)
     for n in range(3):
         s1.store(n, full, Q(n))
@@ -522,8 +551,8 @@ def test_n8_sample_matrix_has_full_column_rank():
     grid = sample_grid(8, len(monos) + 3)
     rows = []
     for d, pi, kappa, b2 in grid:
-        assert d.denominator == pi.denominator == kappa.denominator == 1
-        d, pi, kappa, e = int(d), int(pi), int(kappa), 4 + b2
+        assert all(type(x) is int for x in (d, pi, kappa, b2))
+        e = 4 + b2
         rows.append([d**a * pi**b * kappa**c * e**f for a, b, c, f in monos])
     assert _rank_mod(rows, 2**61 - 1) == len(monos)
 

@@ -123,6 +123,20 @@ def test_wrong_e_operator_fails(monkeypatch):
     assert ce["n"] == 2
 
 
+def test_report_names_its_size_and_seed():
+    # seeds 1 and 2 draw other vectors to the same number of passing
+    # checks; the report tells them apart by the seed it names, and names
+    # None for what a suite does not take
+    kwargs = dict(max_n=2, n_vectors=5, max_weight=3, model_params=ONE_MODEL)
+    one, two = (suite_oscillator(seed=seed, **kwargs) for seed in (1, 2))
+    assert one != two
+    assert dict(one, seed=2) == two
+    assert (one["size"], one["seed"], one["pass"]) == (2, 1, True)
+    assert (run_suite("oscillator", max_n=1)["size"], suite_vertex_integral(1)["seed"]) == (1, None)
+    report = run_suite("worked-example")
+    assert (report["size"], report["seed"], report["pass"]) == (None, None, True)
+
+
 def test_oscillator_without_vectors_checks_q0():
     report = suite_oscillator(max_n=2, n_vectors=0, max_weight=3, model_params=ONE_MODEL)
     assert report["pass"] is True
