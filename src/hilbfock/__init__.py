@@ -1,11 +1,11 @@
 """Exact oscillator-algebra calculus on cohomology of Hilbert schemes of points.
 
 The package models the direct sum of the rational cohomology rings of the
-Hilbert schemes of points on a polarized surface as a Fock space over a
-parametric surface ring, and implements the creation/annihilation calculus,
-the boundary (derivative) operator, Virasoro operators, Chern class
-operators of tautological sheaves, and the resulting top Segre numbers,
-all over exact rational arithmetic.
+Hilbert schemes of points on a polarized surface as a Fock space over the
+surface ring of an intersection lattice, and implements the
+creation/annihilation calculus, the boundary (derivative) operator,
+Virasoro operators, Chern class operators of tautological sheaves, and the
+resulting top Segre numbers, all over exact rational arithmetic.
 """
 
 from .surface import (

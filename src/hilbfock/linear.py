@@ -5,14 +5,15 @@ combinations of basis keys with ``Fraction`` coefficients.  The
 constructor of :class:`Combination` normalises them, so a ``terms`` dict
 never holds a zero value.  Hot loops may instead hold a combination as an
 :data:`IntVec`, integer numerators over one common denominator, which
-avoids a ``Fraction`` gcd per operation.
+avoids a ``Fraction`` gcd per operation.  :func:`solve_overdetermined`
+is the package's one exact linear solver.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 Q = Fraction
 
@@ -73,6 +74,40 @@ def int_apply(
         for j, x in column(k).items():
             out[j] = get(j, 0) + c * x
     return out
+
+
+class InconsistentSamples(ValueError):
+    """Sampled values do not lie on any polynomial with the allowed support."""
+
+
+def solve_overdetermined(rows: List[List[Q]], rhs: List[Q]) -> List[Q]:
+    """Exact solution of a consistent overdetermined linear system, by
+    Gauss-Jordan elimination over the rationals.  Raises ValueError on an
+    empty system, InconsistentSamples when a row reduces to zero with a
+    nonzero right-hand side, and else ValueError ("rank deficient") when a
+    column has no pivot."""
+    if not rows:
+        raise ValueError("empty system")
+    ncols = len(rows[0])
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    rank = 0
+    for col in range(ncols):
+        sel = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
+        if sel is None:
+            continue
+        p = Q(aug[sel][col])
+        top = [x / p for x in aug[sel]]
+        aug[sel], aug[rank] = aug[rank], top
+        for i, row in enumerate(aug):
+            c = row[col]
+            if c and i != rank:  # skip zeros of top: a Gram matrix is mostly zeros
+                aug[i] = [x - c * y if y else x for x, y in zip(row, top)]
+        rank += 1
+    if any(row[-1] for row in aug[rank:]):
+        raise InconsistentSamples("samples are not consistent with the model")
+    if rank < ncols:
+        raise ValueError("sample matrix is rank deficient; add more points")
+    return [row[-1] for row in aug[:ncols]]
 
 
 def render_sum(items: Iterable[Tuple[Q, str]], sep: str = "") -> str:

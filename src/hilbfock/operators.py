@@ -13,8 +13,9 @@ D is filled from that characterization alone: for n >= 1 the rule is a cut
 and join of the new factor q_n(a) (:func:`_new_factor`), and D q_n(s) M' is
 q_n(s) D M' plus that term.  The cut, join and K coefficients are tabulated
 once per engine as integers over one model denominator, the lcm of the
-denominators of c/2, of the products s.t and of k/2, so D is filled in
-integers.
+denominators of c/2, of the products s.t and of x/2 for each term x t of
+K.s, so D is filled in integers.  The canonical class K is read from the
+model, so no basis symbol is named here.
 
 L_n(a) is the normal-ordered pair sum of c q_(n-mu)(s') q_mu(s'') over
 (c, s', s'') in delta(a) and mu <= n/2 with mu, n-mu != 0, halved when
@@ -150,19 +151,16 @@ def _boundary_tables(model: SurfaceModel):
 
     ``cut[s]`` holds (c/2, s', s'') for (c, s', s'') in delta(s),
     ``join[s, t]`` holds (x, u) for the product s.t = x u, which is delta(s)
-    contracted with t, and ``kterm[s]`` holds (k/2, t) for K.s = k t.  The
-    model denominator is the lcm of the denominators of all these entries;
-    each entry is stored as its numerator over it.
+    contracted with t, and ``kterm[s]`` holds (x/2, t) for each term x t of
+    K.s, K the model's canonical class.  The model denominator is the lcm
+    of the denominators of all these entries; each entry is stored as its
+    numerator over it.
     """
 
-    def product(s, t, scale=1):
-        p = model.prod_sym(s, t)
-        return [(p[0] * scale, p[1])] if p is not None and p[0] else []
-
-    syms = model.symbols
+    syms, K = model.symbols, model.canonical_class()
     cut = {s: [(c / 2, s1, s2) for c, s1, s2 in model.delta_triples(s)] for s in syms}
-    join = {(s, t): product(s, t) for s in syms for t in syms}
-    kterm = {s: product("k", s, Q(1, 2)) for s in syms}
+    join = {(s, t): [p] if (p := model.prod_sym(s, t)) else [] for s in syms for t in syms}
+    kterm = {s: [(x / 2, t) for t, x in model.mul(K, CohClass({s: 1})).terms.items()] for s in syms}
     tables = (cut, join, kterm)
     den = lcm(*(e[0].denominator for t in tables for row in t.values() for e in row))
 
@@ -214,9 +212,9 @@ def _new_factor(ids, monos, ins, cut, join, kterm, n: int, s: str, i: int) -> Co
     """[D, q_n(s)] = n L_n(s) + n(n-1)/2 q_n(K.s), n >= 1, on the monomial
     M of id i, over _den; the one place the rule lives.  q_n(s) cuts into
     q_nu(s') q_(n-nu)(s'') with weight n c/2 for (c, s', s'') in delta(s)
-    and 0 < nu < n, turns into q_n(t) with weight n(n-1)/2 k for K.s = k t,
-    and joins each factor q_n2(s2) of M into q_(n+n2)(u) with weight
-    -n n2 x for the product s.s2 = x u."""
+    and 0 < nu < n, turns into q_n(t) with weight n(n-1)/2 x for each term
+    x t of K.s, and joins each factor q_n2(s2) of M into q_(n+n2)(u) with
+    weight -n n2 x for the product s.s2 = x u."""
     M = monos[i]
     num: Column = {}
     for c, s1, s2 in cut[s]:
@@ -471,7 +469,7 @@ class OperatorEngine:
         """
         series = [
             (partial(gen_binomial, u.rank - k), cls)
-            for k, cls in ((0, {"1": Q(1)}), (1, u.c1.terms), (2, u.c2.terms))
+            for k, cls in ((0, self.model.unit().terms), (1, u.c1.terms), (2, u.c2.terms))
         ]
         return self._out(self._ad_series(1, series, self._in(v), degree))
 
@@ -501,7 +499,8 @@ class OperatorEngine:
         series = [
             (lambda nu: Q(1, factorial(nu)), u.chern_character(self.model).terms)
         ]
-        up = self._ins[1, "1"]  # q_1(1), a relabelling
+        (one,) = self.model.unit().terms
+        up = self._ins[1, one]  # q_1(1), a relabelling
         g: Dict[int, Q] = {}
         w = self._ids[()]  # the id of q_1(1)^j |0>
         for _ in range(n):

@@ -22,7 +22,7 @@ from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fock import integrate_hilb
-from .linear import Combination, q_str, rat, render_sum
+from .linear import Combination, InconsistentSamples, q_str, rat, render_sum, solve_overdetermined
 from .operators import OperatorEngine
 from .series import PowerSeries, conjecture_series, log_coefficients
 from .surface import KClassSpec, SurfaceModel, new_model
@@ -31,10 +31,6 @@ Q = Fraction
 
 Expo = Tuple[int, int, int, int]  # exponents of d, pi, kappa, e
 Params = Tuple[Q, Q, Q, int]  # (d, pi, kappa, b2_extra); an int serves as a Q
-
-
-class InconsistentSamples(ValueError):
-    """Sampled values do not lie on any polynomial with the allowed support."""
 
 
 # -- universal polynomials -------------------------------------------------
@@ -144,17 +140,24 @@ def _is_header(line: str) -> bool:
     return isinstance(header, dict) and header.get("engine_version") == ENGINE_VERSION
 
 
+def _coordinate(text: str) -> Q:
+    """A cached ``p/q`` coordinate, as an int when it is integral."""
+    x = Q(text)
+    return x.numerator if x.denominator == 1 else x
+
+
 class Sampler:
     """Computes and caches the numbers N_n over many surface models.
 
     The optional cache file is append-only JSON lines; the first line is a
     header recording the engine version, and each record stores one value
-    with all rationals as canonical ``p/q`` strings; a load reads them as
-    Fractions, which hash and compare as the ints they equal, so a point of
-    ints finds them.  A file whose header is unreadable or names another
-    engine version is not loaded, and is rewritten with a fresh header
-    before the first new record, so that new records are not appended
-    below the stale header and lost on reload.
+    with all rationals as canonical ``p/q`` strings; a load reads an
+    integral coordinate as an int and any other as a Fraction, so a point
+    of ints finds its records by int hashes and compares.  A file whose
+    header is unreadable or names another engine version is not loaded,
+    and is rewritten with a fresh header before the first new record, so
+    that new records are not appended below the stale header and lost on
+    reload.
     Record lines that do not decode to a complete record, with JSON
     integers for ``n`` and ``b2_extra`` and JSON strings for the rationals,
     are skipped and counted in ``corrupt_lines``; a byte that is not UTF-8
@@ -203,7 +206,7 @@ class Sampler:
                     raise TypeError("need JSON integers n and b2_extra, and strings")
                 params = parsed.get(raw)
                 if params is None:
-                    params = parsed[raw] = (Q(raw[0]), Q(raw[1]), Q(raw[2]), b2)
+                    params = parsed[raw] = (*map(_coordinate, raw[:3]), b2)
                 self._mem[(n, params)] = Q(value)
             except (KeyError, TypeError, ValueError, ArithmeticError):
                 self.corrupt_lines += 1
@@ -349,34 +352,6 @@ def _lattice_interpolate(support: Sequence[Expo], values: Sequence[Q]) -> UnivPo
                 step(v, [origin + stride * k for k in range(len(v))])
                 coef.update(zip(line, v))
     return UnivPoly(coef)
-
-
-def solve_overdetermined(rows: List[List[Q]], rhs: List[Q]) -> List[Q]:
-    """Exact solution of a consistent overdetermined linear system, by
-    Gauss-Jordan elimination over the rationals.  Raises ValueError on an
-    empty system, InconsistentSamples when a row reduces to zero with a
-    nonzero right-hand side, and else ValueError ("rank deficient") when a
-    column has no pivot."""
-    if not rows:
-        raise ValueError("empty system")
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    rank = 0
-    for col in range(ncols):
-        sel = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
-        if sel is None:
-            continue
-        top = [x / Q(aug[sel][col]) for x in aug[sel]]
-        aug[sel], aug[rank] = aug[rank], top
-        for i, row in enumerate(aug):
-            if row[col] and i != rank:
-                aug[i] = [x - row[col] * y for x, y in zip(row, top)]
-        rank += 1
-    if any(row[-1] for row in aug[rank:]):
-        raise InconsistentSamples("samples are not consistent with the model")
-    if rank < ncols:
-        raise ValueError("sample matrix is rank deficient; add more points")
-    return [row[-1] for row in aug[:ncols]]
 
 
 def _interpolate(

@@ -1,26 +1,30 @@
-"""Parametric model of the even rational cohomology ring of a polarized surface.
+"""The even rational cohomology ring of a polarized surface, from its lattice.
 
-The ring has basis ``1``, ``h`` (a polarization class), ``k`` (the canonical
-class), optional extra middle classes ``u1 .. ub``, and the point class
-``pt``.  Products of degree-2 classes are determined by the intersection
-numbers ``h.h = d``, ``h.k = pi``, ``k.k = kappa`` and ``ui.ui = 1``; all
-cross products with the ``ui`` vanish, as do products of degree above four.
-The topological Euler number is ``e = 4 + b2_extra``.
+The ring has basis ``1``, named degree-2 classes (``h``, the polarization,
+then any of ``k``, ``u1``, ``u2`` ...) and the point class ``pt``.  A
+model is built from the Gram matrix of the degree-2 classes and the
+canonical class K, a combination of them: the product of two degree-2
+classes is their Gram entry times ``pt``, products of degree above four
+vanish, the dual basis is the Gram inverse and the Euler number is
+e = 2 + rank.  :func:`new_model` is the case of the parameters (d, pi,
+kappa, b2): the classes h, k, u1 .. ub with h.h = d, h.k = pi, k.k = kappa,
+ui.ui = 1, no other products, and K = k.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import linear  # through the module, so perfbench's segre.solve probe times only fits
 from .linear import Combination, rat, render_sum
 
 Q = Fraction
 
 
 class DegeneratePairing(ValueError):
-    """The degree-2 intersection form is singular: d*kappa == pi**2."""
+    """The degree-2 intersection form (the Gram matrix) is singular."""
 
 
 def _sym_rank(sym: str) -> Tuple[int, int]:
@@ -89,64 +93,59 @@ def parse_class(text: str, model: "SurfaceModel") -> CohClass:
 
 
 class SurfaceModel:
-    """Intersection theory of a polarized surface with parameters (d, pi, kappa, e).
+    """Intersection theory of a surface, built from its degree-2 lattice.
 
-    Raises :class:`DegeneratePairing` when ``d*kappa == pi**2``, since the
-    diagonal class (and hence every operator built from it) needs the
-    degree-2 intersection form to be invertible.
+    ``names`` are the degree-2 basis classes (``h``, ``k``, ``u1`` ...;
+    the polarization ``h`` is required), ``gram`` is their intersection
+    matrix and ``canonical`` is the canonical class K, a combination of
+    them.  ``d``, ``pi`` and ``kappa`` are h.h, h.K and K.K, and e is
+    2 + rank.  Raises :class:`DegeneratePairing` on a singular Gram matrix,
+    since the diagonal class (and hence every operator built from it) needs
+    the degree-2 intersection form to be invertible.
     """
 
-    def __init__(self, d, pi, kappa, b2_extra: int = 0):
-        self.d = rat(d)
-        self.pi = rat(pi)
-        self.kappa = rat(kappa)
-        if not isinstance(b2_extra, int) or b2_extra < 0:
-            raise ValueError("b2_extra must be a nonnegative integer")
-        self.b2_extra = b2_extra
-        self.det = self.d * self.kappa - self.pi * self.pi
-        if self.det == 0:
-            raise DegeneratePairing(
-                "d*kappa - pi^2 = 0: degree-2 intersection form is singular"
-            )
-        self.e = 4 + b2_extra
-
-        extras = tuple("u%d" % (i + 1) for i in range(b2_extra))
-        self.symbols: Tuple[str, ...] = ("1", "h", "k") + extras + ("pt",)
-        self.degree = {"1": 0, "h": 2, "k": 2, "pt": 4}
-        for u in extras:
-            self.degree[u] = 2
+    def __init__(self, names: Sequence[str], gram: Sequence[Sequence], canonical: CohClass):
+        names, r = tuple(names), len(names)
+        self.gram = G = tuple(tuple(rat(x) for x in row) for row in gram)
+        if not all(re.fullmatch(r"h|k|u\d+", s) for s in names) or len(set(names)) < r:
+            raise ValueError("degree-2 classes need distinct names h, k or u<i>: %r" % (names,))
+        if "h" not in names:
+            raise ValueError("a surface model needs the polarization class h")
+        if len(G) != r or any(len(row) != r for row in G) or tuple(zip(*G)) != G:
+            raise ValueError("the Gram matrix must be square, symmetric and of size %d" % r)
+        if not set(canonical.terms) <= set(names):
+            raise ValueError("K must be a combination of %s" % ", ".join(names))
+        try:  # the columns of the Gram inverse, which is symmetric
+            inv = [linear.solve_overdetermined(G, [Q(i == j) for i in range(r)]) for j in range(r)]
+        except ValueError:
+            raise DegeneratePairing("the degree-2 intersection form is singular") from None
+        self._K = canonical
+        self.e = 2 + r
+        self.symbols: Tuple[str, ...] = ("1",) + names + ("pt",)
+        self.degree = {"1": 0, **dict.fromkeys(names, 2), "pt": 4}
 
         # Product table on basis symbols: (s, t) -> (coefficient, symbol).
         prod: Dict[Tuple[str, str], Tuple[Q, str]] = {}
         for s in self.symbols:
-            prod[("1", s)] = (Q(1), s)
-            prod[(s, "1")] = (Q(1), s)
-        prod[("h", "h")] = (self.d, "pt")
-        prod[("h", "k")] = (self.pi, "pt")
-        prod[("k", "h")] = (self.pi, "pt")
-        prod[("k", "k")] = (self.kappa, "pt")
-        for u in extras:
-            prod[(u, u)] = (Q(1), "pt")
+            prod[("1", s)] = prod[(s, "1")] = (Q(1), s)
+        for i, s in enumerate(names):
+            for j, t in enumerate(names):
+                if G[i][j]:
+                    prod[(s, t)] = (G[i][j], "pt")
         self._prod = prod
 
         # Intersection numbers of pairs of basis symbols.
-        pair: Dict[Tuple[str, str], Q] = {}
-        for s in self.symbols:
-            for t in self.symbols:
-                p = prod.get((s, t))
-                pair[(s, t)] = p[0] if p and p[1] == "pt" else Q(0)
-        self._pair = pair
+        self._pair = {
+            (s, t): p[0] if (p := prod.get((s, t))) and p[1] == "pt" else Q(0)
+            for s in self.symbols for t in self.symbols
+        }
 
         # Dual basis with respect to the intersection form.
-        dual: Dict[str, CohClass] = {
-            "1": CohClass({"pt": 1}),
-            "pt": CohClass({"1": 1}),
-            "h": CohClass({"h": self.kappa / self.det, "k": -self.pi / self.det}),
-            "k": CohClass({"h": -self.pi / self.det, "k": self.d / self.det}),
-        }
-        for u in extras:
-            dual[u] = CohClass({u: 1})
+        dual = {s: CohClass(dict(zip(names, col))) for s, col in zip(names, inv)}
+        dual["1"], dual["pt"] = CohClass({"pt": 1}), CohClass({"1": 1})
         self._dual = dual
+        h, K = self.h_class(), canonical
+        self.d, self.pi, self.kappa = self.pair(h, h), self.pair(h, K), self.pair(K, K)
 
         # Diagonal class of each basis symbol, expanded into symbol pairs:
         # delta(s) = sum of c * (s1 tensor s2).
@@ -154,35 +153,28 @@ class SurfaceModel:
         for s in self.symbols:
             triples: Dict[Tuple[str, str], Q] = {}
             for b in self.symbols:
-                p = prod.get((s, b))
-                if p is None:
-                    continue
-                c0, left = p
-                if not c0:
-                    continue
-                for s2, c2 in dual[b].terms.items():
-                    key = (left, s2)
-                    triples[key] = triples.get(key, Q(0)) + c0 * c2
-            delta[s] = tuple(
-                (c, s1, s2) for (s1, s2), c in triples.items() if c
-            )
+                if (s, b) in prod:
+                    c0, left = prod[(s, b)]
+                    for s2, c2 in dual[b].terms.items():
+                        key = (left, s2)
+                        triples[key] = triples.get(key, Q(0)) + c0 * c2
+            delta[s] = tuple((c, s1, s2) for (s1, s2), c in triples.items() if c)
         self._delta = delta
 
     # -- ring operations ---------------------------------------------------
 
     def prod_sym(self, s: str, t: str) -> Optional[Tuple[Q, str]]:
-        """Product of two basis symbols as (coefficient, symbol), or None."""
+        """Product of two basis symbols as (coefficient, symbol), or None
+        when it vanishes: the coefficient is never zero."""
         return self._prod.get((s, t))
 
     def mul(self, a: CohClass, b: CohClass) -> CohClass:
         data: Dict[str, Q] = {}
         for s, cs in a.terms.items():
             for t, ct in b.terms.items():
-                p = self._prod.get((s, t))
-                if p is None:
-                    continue
-                c, sym = p
-                if c:
+                p = self._prod.get((s, t))  # None when s.t vanishes
+                if p is not None:
+                    c, sym = p
                     data[sym] = data.get(sym, Q(0)) + cs * ct * c
         return CohClass(data)
 
@@ -205,12 +197,8 @@ class SurfaceModel:
         Returns pairs (x_i, y_i) with delta(a) = sum of x_i tensor y_i,
         one pair per basis symbol b of the model: (a*b, dual(b)).
         """
-        out = []
-        for b in self.symbols:
-            left = self.mul(a, CohClass({b: 1}))
-            if not left.is_zero():
-                out.append((left, self._dual[b]))
-        return out
+        pairs = ((self.mul(a, CohClass({b: 1})), self._dual[b]) for b in self.symbols)
+        return [(x, y) for x, y in pairs if not x.is_zero()]
 
     def delta_triples(self, s: str) -> Tuple[Tuple[Q, str, str], ...]:
         """delta(s) fully expanded into (coefficient, symbol, symbol)."""
@@ -228,24 +216,27 @@ class SurfaceModel:
         return CohClass({"h": 1})
 
     def canonical_class(self) -> CohClass:
-        return CohClass({"k": 1})
+        return self._K
 
     def c2_class(self) -> CohClass:
         """Second Chern class of the tangent bundle: e * pt."""
         return CohClass({"pt": self.e})
 
     def __repr__(self) -> str:
-        return "SurfaceModel(d=%s, pi=%s, kappa=%s, b2_extra=%d)" % (
-            self.d,
-            self.pi,
-            self.kappa,
-            self.b2_extra,
-        )
+        gram = [[str(x) for x in row] for row in self.gram]
+        return "SurfaceModel(%r, %s, K=%s)" % (self.symbols[1:-1], gram, render_class(self._K))
 
 
 def new_model(d, pi, kappa, b2_extra: int = 0) -> SurfaceModel:
-    """Construct a surface model; raises DegeneratePairing if d*kappa == pi^2."""
-    return SurfaceModel(d, pi, kappa, b2_extra)
+    """The model on h, k, u1 .. ub with Gram matrix [[d, pi], [pi, kappa]]
+    plus the identity of size b = ``b2_extra``, and K = k; raises
+    DegeneratePairing if d*kappa == pi^2."""
+    if not isinstance(b2_extra, int) or b2_extra < 0:
+        raise ValueError("b2_extra must be a nonnegative integer")
+    gram = [[d, pi] + [0] * b2_extra, [pi, kappa] + [0] * b2_extra]
+    gram += [[0, 0] + [int(i == j) for j in range(b2_extra)] for i in range(b2_extra)]
+    names = ("h", "k") + tuple("u%d" % (i + 1) for i in range(b2_extra))
+    return SurfaceModel(names, gram, CohClass({"k": 1}))
 
 
 class KClassSpec:

@@ -102,10 +102,11 @@ def test_segre_symbolic_n9_on_a_closed_form_cache(capsys, monkeypatch, tmp_path)
 
 
 def test_segre_degenerate_model(capsys):
-    code, _ = run_cli(
-        capsys, "segre", "--n", "2", "--d", "1", "--pi", "1", "--kappa", "1"
-    )
-    assert code == 3
+    for n in ("2", "3"):
+        code, _ = run_cli(
+            capsys, "segre", "--n", n, "--d", "1", "--pi", "1", "--kappa", "1"
+        )
+        assert code == 3
 
 
 def test_segre_max_weight_guard(capsys):

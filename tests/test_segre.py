@@ -300,7 +300,7 @@ def test_cache_file_round_trip(tmp_path):
     ids=["fraction-stored", "int-stored"],
 )
 def test_int_and_fraction_points_share_values(monkeypatch, stored, asked):
-    # the package's points are ints and a cache load makes Fractions: both
+    # the package's points are ints and a caller may store Fractions: both
     # hash and compare alike, so either finds the values of the other
     sampler = Sampler()
     for n in range(3):
@@ -309,6 +309,19 @@ def test_int_and_fraction_points_share_values(monkeypatch, stored, asked):
     sampler.fill(2, [asked])
     assert sampler.series(2, asked) == [Q(-1), Q(0), Q(1)]
     assert sampler.value(1, asked) == Q(0)
+
+
+def test_load_reads_integral_coordinates_as_ints(tmp_path, monkeypatch):
+    # a loaded p/1 coordinate is an int, so an int point finds its records
+    # by int hashes and compares, and 3/2 stays a Fraction
+    path = str(tmp_path / "cache.jsonl")
+    for params in ((1, 0, -1, 0), (Q(3, 2), 1, -1, 1)):
+        Sampler(path).store(2, params, Q(7))
+    loaded = Sampler(path)
+    types = {params: [type(x) for x in params] for _, params in loaded._mem}
+    assert types == {(1, 0, -1, 0): [int] * 4, (Q(3, 2), 1, -1, 1): [Q, int, int, int]}
+    monkeypatch.setattr(segre, "segre_series", _no_sampling)
+    assert loaded.value(2, (1, 0, -1, 0)) == Q(7)
 
 
 def test_fill_computes_only_the_points_missing_an_order(tmp_path, monkeypatch):

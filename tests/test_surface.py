@@ -1,9 +1,39 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 
-from hilbfock import CohClass, DegeneratePairing, KClassSpec, new_model, parse_class
+from hilbfock import (
+    CohClass,
+    DegeneratePairing,
+    KClassSpec,
+    SurfaceModel,
+    conjecture_series,
+    new_model,
+    parse_class,
+    segre_series,
+)
 from hilbfock.surface import render_class
+
+#: Surfaces from their lattices: the names of the degree-2 classes, their
+#: Gram matrix, K, and the invariants (d, pi, kappa, e) of the surface with
+#: its polarization h, written out rather than read back from the model.
+LATTICES = {
+    "P2-O1": (("h",), [[1]], {"h": -3}, (1, -3, 9, 3)),
+    "P2-O2": (("h",), [[4]], {"h": Q(-3, 2)}, (4, -6, 9, 3)),
+    "P1xP1-O12": (("h", "u1"), [[4, 2], [2, 0]], {"h": -1, "u1": -1}, (4, -6, 8, 4)),
+    "F1-H": (("h", "u1"), [[1, 0], [0, -1]], {"h": -3, "u1": 1}, (1, -3, 8, 4)),
+    "F1-2H-E": (("h", "u1"), [[3, 1], [1, -1]], {"h": Q(-3, 2), "u1": Q(-1, 2)}, (3, -5, 8, 4)),
+}
+
+
+def lattice(name):
+    names, gram, K, _ = LATTICES[name]
+    return SurfaceModel(names, gram, CohClass(K))
+
+
+#: P2, whose K is a multiple of h, and F1 with a non-diagonal Gram matrix.
+P2, F1 = lattice("P2-O1"), lattice("F1-2H-E")
 
 
 def test_degenerate_pairing_rejected():
@@ -11,6 +41,42 @@ def test_degenerate_pairing_rejected():
         new_model(1, 1, 1, 0)
     with pytest.raises(DegeneratePairing):
         new_model(4, 2, 1, 2)
+    with pytest.raises(DegeneratePairing):
+        SurfaceModel(("h", "u1"), [[2, 2], [2, 2]], CohClass({"u1": 1}))
+
+
+@pytest.mark.parametrize(
+    "names, gram, K",
+    [
+        (("h", "u1"), [[1, 0]], {}),
+        (("h", "u1"), [[1, 0, 0], [0, -1, 0]], {}),
+        (("h", "u1"), [[1, 0], [1, -1]], {}),
+        (("h", "e1"), [[1, 0], [0, -1]], {}),
+        (("h", "h"), [[1, 0], [0, -1]], {}),
+        (("k", "u1"), [[1, 0], [0, -1]], {"k": 1}),
+        (("h", "u1"), [[1, 0], [0, -1]], {"k": 1}),
+        (("h", "u1"), [[1, 0], [0, -1]], {"pt": 1}),
+    ],
+    ids=["short", "not-square", "not-symmetric", "unknown-name", "repeated-name",
+         "no-h", "K-unknown-symbol", "K-point"],
+)
+def test_lattice_constructor_refuses_bad_input(names, gram, K):
+    with pytest.raises(ValueError) as info:
+        SurfaceModel(names, gram, CohClass(K))
+    assert not isinstance(info.value, DegeneratePairing)
+
+
+@pytest.mark.parametrize("name", LATTICES)
+def test_lattice_surface_matches_the_closed_form(name):
+    # the chain on a lattice model is the closed form (a theorem) at the
+    # surface's invariants, and integral; a wrong K row (K = 0 on P2) is
+    # the closed form only at its own invariants (1, 0, 0, 3)
+    model, invariants = lattice(name), LATTICES[name][3]
+    assert (model.d, model.pi, model.kappa, model.e) == invariants
+    got = segre_series(8, model)
+    want = conjecture_series(*invariants, 8)
+    assert got == [want.coefficient(n) for n in range(9)]
+    assert all(x.denominator == 1 for x in got)
 
 
 def test_basic_products(model):
@@ -53,14 +119,14 @@ def test_integration(model):
 
 def test_dual_basis_reproduces(model_b2):
     # x equals the sum over basis symbols b of (x . dual(b)) b
-    m = model_b2
-    for sym in m.symbols:
-        x = CohClass({sym: 1})
-        recon = CohClass()
-        for b in m.symbols:
-            c = m.pair(x, m.dual_basis(b))
-            recon = recon + CohClass({b: c})
-        assert recon == x
+    for m in (model_b2, P2, F1):
+        for sym in m.symbols:
+            x = CohClass({sym: 1})
+            recon = CohClass()
+            for b in m.symbols:
+                c = m.pair(x, m.dual_basis(b))
+                recon = recon + CohClass({b: c})
+            assert recon == x
 
 
 def test_diagonal_of_unit(model):
@@ -79,38 +145,32 @@ def test_diagonal_of_unit(model):
 
 
 def test_cup_of_diagonal_is_euler_number(model, model_b2):
-    for m in (model, model_b2):
+    for m, e in ((model, 4), (model_b2, 5), (P2, 3), (F1, 4)):
         total = CohClass()
         for left, right in m.diagonal(m.unit()):
             total = total + m.mul(left, right)
-        assert total == CohClass({"pt": m.e})
+        assert total == CohClass({"pt": e})
 
 
 def test_diagonal_is_symmetric(model_b2):
-    m = model_b2
-    for sym in m.symbols:
-        terms = {}
-        for c, s1, s2 in m.delta_triples(sym):
-            terms[(s1, s2)] = terms.get((s1, s2), Q(0)) + c
-        for (s1, s2), c in terms.items():
-            assert terms.get((s2, s1), Q(0)) == c
+    for m in (model_b2, P2, F1):
+        for sym in m.symbols:
+            terms = {}
+            for c, s1, s2 in m.delta_triples(sym):
+                terms[(s1, s2)] = terms.get((s1, s2), Q(0)) + c
+            for (s1, s2), c in terms.items():
+                assert terms.get((s2, s1), Q(0)) == c
 
 
 def test_diagonal_adjointness(model_b2):
     # integral of (a x) y over the pairs equals integral of a x y
-    m = model_b2
-    for sa in m.symbols:
-        a = CohClass({sa: 1})
-        for sx in m.symbols:
-            for sy in m.symbols:
-                x, y = CohClass({sx: 1}), CohClass({sy: 1})
-                lhs = Q(0)
-                for left, right in m.diagonal(a):
-                    lhs += m.integrate(m.mul(left, x)) * m.integrate(
-                        m.mul(right, y)
-                    )
-                rhs = m.integrate(m.mul(m.mul(a, x), y))
-                assert lhs == rhs
+    for m in (model_b2, P2, F1):
+        for sa, sx, sy in itertools.product(m.symbols, repeat=3):
+            a, x, y = CohClass({sa: 1}), CohClass({sx: 1}), CohClass({sy: 1})
+            lhs = Q(0)
+            for left, right in m.diagonal(a):
+                lhs += m.integrate(m.mul(left, x)) * m.integrate(m.mul(right, y))
+            assert lhs == m.integrate(m.mul(m.mul(a, x), y))
 
 
 def test_chern_data_of_minus_polarization(model):
