@@ -8,6 +8,8 @@ Virasoro operators, Chern class operators of tautological sheaves, and the
 resulting top Segre numbers, all over exact rational arithmetic.
 """
 
+ENGINE_VERSION = "0.1.0"  # before the submodules: segre imports it
+
 from .surface import (
     CohClass,
     DegeneratePairing,
@@ -35,8 +37,6 @@ from .segre import (
     segre_polynomial,
     segre_series,
 )
-
-ENGINE_VERSION = "0.1.0"
 
 __all__ = [
     "CohClass",

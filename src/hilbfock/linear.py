@@ -6,7 +6,8 @@ constructor of :class:`Combination` normalises them, so a ``terms`` dict
 never holds a zero value.  Hot loops may instead hold a combination as an
 :data:`IntVec`, integer numerators over one common denominator, which
 avoids a ``Fraction`` gcd per operation.  :func:`solve_overdetermined`
-is the package's one exact linear solver.
+is the package's one exact linear solver, one elimination for all the
+right-hand sides of a matrix.  :func:`rat` admits only exact numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ IntVec = Tuple[Dict[Hashable, int], int]
 
 
 def rat(x) -> Q:
-    return x if isinstance(x, Q) else Q(x)
+    """``x`` as a Fraction; a float is refused with TypeError, as inexact."""
+    if isinstance(x, Q):  # first: the common case returns at once
+        return x
+    if isinstance(x, float):
+        raise TypeError("%r is a float, not an exact number" % (x,))
+    return Q(x)
 
 
 def q_str(x: Q) -> str:
@@ -80,16 +86,17 @@ class InconsistentSamples(ValueError):
     """Sampled values do not lie on any polynomial with the allowed support."""
 
 
-def solve_overdetermined(rows: List[List[Q]], rhs: List[Q]) -> List[Q]:
-    """Exact solution of a consistent overdetermined linear system, by
-    Gauss-Jordan elimination over the rationals.  Raises ValueError on an
-    empty system, InconsistentSamples when a row reduces to zero with a
-    nonzero right-hand side, and else ValueError ("rank deficient") when a
-    column has no pivot."""
+def solve_overdetermined(rows: List[List[Q]], rhs: List[List[Q]]) -> List[List[Q]]:
+    """Exact solutions of a consistent overdetermined linear system for each
+    right-hand side in ``rhs`` (one value per row each), from one
+    Gauss-Jordan elimination over the rationals of ``rows`` augmented with
+    all of them.  Raises ValueError on an empty system, InconsistentSamples
+    when a row reduces to zero with a nonzero entry in any right-hand side,
+    and else ValueError ("rank deficient") when a column has no pivot."""
     if not rows:
         raise ValueError("empty system")
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
     rank = 0
     for col in range(ncols):
         sel = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
@@ -103,11 +110,11 @@ def solve_overdetermined(rows: List[List[Q]], rhs: List[Q]) -> List[Q]:
             if c and i != rank:  # skip zeros of top: a Gram matrix is mostly zeros
                 aug[i] = [x - c * y if y else x for x, y in zip(row, top)]
         rank += 1
-    if any(row[-1] for row in aug[rank:]):
+    if any(any(row[ncols:]) for row in aug[rank:]):
         raise InconsistentSamples("samples are not consistent with the model")
     if rank < ncols:
         raise ValueError("sample matrix is rank deficient; add more points")
-    return [row[-1] for row in aug[:ncols]]
+    return [[row[ncols + j] for row in aug[:ncols]] for j in range(len(rhs))]
 
 
 def render_sum(items: Iterable[Tuple[Q, str]], sep: str = "") -> str:

@@ -18,9 +18,9 @@ import json
 import os
 import random
 from fractions import Fraction
-from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import ENGINE_VERSION
 from .fock import integrate_hilb
 from .linear import Combination, InconsistentSamples, q_str, rat, render_sum, solve_overdetermined
 from .operators import OperatorEngine
@@ -131,8 +131,6 @@ def segre_series(n_max: int, model: SurfaceModel) -> List[Q]:
 
 def _is_header(line: str) -> bool:
     """Whether a cache line is the header of this engine version."""
-    from . import ENGINE_VERSION
-
     try:
         header = json.loads(line)
     except json.JSONDecodeError:
@@ -212,8 +210,6 @@ class Sampler:
                 self.corrupt_lines += 1
 
     def _append(self, n: int, params: Params, value: Q) -> None:
-        from . import ENGINE_VERSION
-
         path = self.cache_path
         if not path:
             return
@@ -354,19 +350,6 @@ def _lattice_interpolate(support: Sequence[Expo], values: Sequence[Q]) -> UnivPo
     return UnivPoly(coef)
 
 
-def _interpolate(
-    support: Sequence[Expo], points: Sequence[Params], values: Sequence[Q]
-) -> UnivPoly:
-    """The polynomial over ``support`` that takes ``values`` at ``points``,
-    with e = 4 + b2_extra, by :func:`solve_overdetermined`, which raises as
-    it says.  It fits the linear d_m; N_n on its lattice needs no solve."""
-    rows = [
-        [prod(x**k for x, k in zip((d, pi, kappa, Q(4 + b2)), ex)) for ex in support]
-        for d, pi, kappa, b2 in points
-    ]
-    return UnivPoly(dict(zip(support, solve_overdetermined(rows, list(values)))))
-
-
 #: Sample points beyond the support size: their equations certify the bound.
 EXTRA_POINTS = 3
 
@@ -428,8 +411,9 @@ def fit_dm_linear(m_max: int, sampler: Optional[Sampler] = None) -> List[UnivPol
     """The coefficients d_1 .. d_{m_max} by an exact linear fit.
 
     Each d_m is linear in (d, pi, kappa, e), so numeric log-series samples
-    at the overdetermined set ``_FIT_TUPLES`` pin it down; nonzero
-    residuals or a nonzero constant term raise InconsistentSamples.
+    at the overdetermined set ``_FIT_TUPLES`` pin it down; all m are fitted
+    by one :func:`solve_overdetermined`.  Nonzero residuals or a nonzero
+    constant term raise InconsistentSamples.
     """
     if sampler is None:
         sampler = Sampler()
@@ -438,10 +422,14 @@ def fit_dm_linear(m_max: int, sampler: Optional[Sampler] = None) -> List[UnivPol
         PowerSeries([sampler.value(j, p) for j in range(m_max + 1)]).log()
         for p in _FIT_TUPLES
     ]
+    # one column per monomial of _LINEAR, then the constant term
+    rows = [[d, pi, kappa, 4 + b2, 1] for d, pi, kappa, b2 in _FIT_TUPLES]
+    values = [
+        [Q((-1) ** (m - 1)) * m * s.coefficient(m) for s in logs] for m in range(1, m_max + 1)
+    ]
     out = [UnivPoly()]
-    for m in range(1, m_max + 1):
-        values = [Q((-1) ** (m - 1)) * m * s.coefficient(m) for s in logs]
-        dm = _interpolate(_LINEAR + ((0, 0, 0, 0),), _FIT_TUPLES, values)
+    for m, coeffs in enumerate(solve_overdetermined(rows, values), 1):
+        dm = UnivPoly(dict(zip(_LINEAR + ((0, 0, 0, 0),), coeffs)))
         if (0, 0, 0, 0) in dm.terms:
             raise InconsistentSamples("d_%d has a nonzero constant term" % m)
         out.append(dm)

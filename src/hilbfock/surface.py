@@ -107,7 +107,8 @@ class SurfaceModel:
     def __init__(self, names: Sequence[str], gram: Sequence[Sequence], canonical: CohClass):
         names, r = tuple(names), len(names)
         self.gram = G = tuple(tuple(rat(x) for x in row) for row in gram)
-        if not all(re.fullmatch(r"h|k|u\d+", s) for s in names) or len(set(names)) < r:
+        # u<i> without leading zeros: u1 and u01 would share a sort rank
+        if not all(re.fullmatch(r"h|k|u[1-9]\d*", s) for s in names) or len(set(names)) < r:
             raise ValueError("degree-2 classes need distinct names h, k or u<i>: %r" % (names,))
         if "h" not in names:
             raise ValueError("a surface model needs the polarization class h")
@@ -116,7 +117,7 @@ class SurfaceModel:
         if not set(canonical.terms) <= set(names):
             raise ValueError("K must be a combination of %s" % ", ".join(names))
         try:  # the columns of the Gram inverse, which is symmetric
-            inv = [linear.solve_overdetermined(G, [Q(i == j) for i in range(r)]) for j in range(r)]
+            inv = linear.solve_overdetermined(G, [[Q(i == j) for i in range(r)] for j in range(r)])
         except ValueError:
             raise DegeneratePairing("the degree-2 intersection form is singular") from None
         self._K = canonical

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbfock import CohClass, FockVector, UnivPoly, new_model
+from hilbfock import CohClass, FockVector, PowerSeries, UnivPoly, conjecture_series, new_model
 from hilbfock.affine import WeightedPoly
 from hilbfock.fock import monomials
 
@@ -56,3 +56,20 @@ def test_weighted_poly_repr():
     p = WeightedPoly({((1, 2),): 1, ((2, 1),): Q(-1, 2), (): 3})
     assert repr(p) == "WeightedPoly(3 + q1^2 - 1/2*q2)"
     assert repr(WeightedPoly()) == "WeightedPoly(0)"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: new_model(0.1, 0, -1),
+        lambda: CohClass({"h": 0.5}),
+        lambda: PowerSeries([0.5]),
+        lambda: conjecture_series(0.1, 0, -1, 4, 2),
+        lambda: UnivPoly({(1, 0, 0, 0): 1}).evaluate(0.5, 0, -1, 4),
+    ],
+    ids=["new_model", "CohClass", "PowerSeries", "conjecture_series", "evaluate"],
+)
+def test_floats_are_refused(build):
+    # a float is not exact: 0.1 would be read as 3602879701896397/2^55
+    with pytest.raises(TypeError, match="float"):
+        build()

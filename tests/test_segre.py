@@ -6,13 +6,13 @@ import os
 import random
 import time
 from fractions import Fraction as Q
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hilbfock import ENGINE_VERSION, integrate_hilb, new_model, segre
+from hilbfock import ENGINE_VERSION, integrate_hilb, linear, new_model, segre
 from hilbfock.operators import OperatorEngine
 from hilbfock.segre import (
     KNOWN_DM,
@@ -132,6 +132,14 @@ def _random_grid(n, count, seed, avoid):
     return out
 
 
+def _general_fit(support, points, values):
+    """The polynomial over ``support`` that takes ``values`` at ``points``,
+    with e = 4 + b2_extra, by the general solver: a reference for the lattice."""
+    rows = [[prod(x**k for x, k in zip((d, pi, kappa, 4 + b2), ex)) for ex in support]
+            for d, pi, kappa, b2 in points]
+    return UnivPoly(dict(zip(support, solve_overdetermined(rows, [values])[0])))
+
+
 def test_disjoint_grid_gives_the_same_polynomial(sampler):
     # the support bound and the surplus equations pin N_n down, so the
     # general solver on random models, sharing no point with the lattice
@@ -141,7 +149,7 @@ def test_disjoint_grid_gives_the_same_polynomial(sampler):
         count = len(support) + segre.EXTRA_POINTS
         grid = _random_grid(n, count, 3, set(sample_grid(n, count)))
         values = [sampler.value(n, p) for p in grid]
-        assert segre._interpolate(support, grid, values) == segre_polynomial(n, sampler)
+        assert _general_fit(support, grid, values) == segre_polynomial(n, sampler)
 
 
 def test_interpolate_at_rational_points():
@@ -157,7 +165,7 @@ def test_interpolate_at_rational_points():
     points = sorted(points)
     assert {b2 for *_, b2 in points} == {0, 1, 2}
     values = [poly.evaluate(d, pi, kappa, 4 + b2) for d, pi, kappa, b2 in points]
-    assert segre._interpolate(support, points, values) == poly
+    assert _general_fit(support, points, values) == poly
 
 
 def test_support_monomials():
@@ -186,11 +194,11 @@ def test_univpoly_render_and_json():
 def test_solver_flags_inconsistency():
     rows = [[Q(1)], [Q(1)]]
     with pytest.raises(InconsistentSamples):
-        solve_overdetermined(rows, [Q(1), Q(2)])
+        _solve(rows, [Q(1), Q(2)])
     with pytest.raises(ValueError):
-        solve_overdetermined([[Q(0), Q(1)], [Q(0), Q(2)]], [Q(0), Q(0)])
+        _solve([[Q(0), Q(1)], [Q(0), Q(2)]], [Q(0), Q(0)])
     with pytest.raises(ValueError, match="empty system"):
-        solve_overdetermined([], [])
+        _solve([], [])
 
 
 def test_dm_coefficients_need_n0_one():
@@ -628,6 +636,10 @@ def _closed_form_agrees(poly, n, seed):
 
 # -- the exact solver ----------------------------------------------------------
 
+def _solve(rows, rhs):
+    return solve_overdetermined(rows, [rhs])[0]
+
+
 _ints = st.integers(-9, 9).map(Q)
 _rats = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
@@ -671,7 +683,7 @@ def planted_systems(draw):
 @given(planted_systems())
 def test_solver_recovers_planted_solution(system):
     rows, rhs, sol, _ = system
-    assert solve_overdetermined(rows, rhs) == sol
+    assert _solve(rows, rhs) == sol
 
 
 @settings(max_examples=100, deadline=None)
@@ -681,12 +693,65 @@ def test_solver_refuses_perturbed_surplus_row(system, data):
     i = data.draw(st.sampled_from(surplus_at))
     rhs[i] += data.draw(_rats.filter(bool))
     with pytest.raises(InconsistentSamples):
-        solve_overdetermined(rows, rhs)
+        _solve(rows, rhs)
+
+
+def _right_hand_sides(data, rows, rhs):
+    """``rhs`` among 0..2 more right-hand sides of planted solutions."""
+    ncols = len(rows[0])
+    sols = data.draw(st.lists(st.lists(_rats, min_size=ncols, max_size=ncols), max_size=2))
+    out = [[sum((a * x for a, x in zip(row, sol)), Q(0)) for row in rows] for sol in sols]
+    out.insert(data.draw(st.integers(0, len(out))), rhs)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_systems(), st.data())
+def test_solver_solves_each_right_hand_side(system, data):
+    # one elimination for all right-hand sides gives the one-column solves
+    rows, rhs, _, _ = system
+    columns = _right_hand_sides(data, rows, rhs)
+    assert solve_overdetermined(rows, columns) == [_solve(rows, b) for b in columns]
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_systems(), st.data())
+def test_solver_refuses_any_perturbed_right_hand_side(system, data):
+    rows, rhs, _, surplus_at = system
+    columns = _right_hand_sides(data, rows, rhs)
+    b = data.draw(st.sampled_from(columns))
+    b[data.draw(st.sampled_from(surplus_at))] += data.draw(_rats.filter(bool))
+    with pytest.raises(InconsistentSamples):
+        solve_overdetermined(rows, columns)
+
+
+def test_each_system_is_eliminated_once(monkeypatch):
+    # the Gram inverse of a model and the fit of d_1..d_7 each take one
+    # elimination for all their right-hand sides
+    calls = []
+
+    def counted(rows, rhs):
+        calls.append(len(rhs))
+        return solve_overdetermined(rows, rhs)
+
+    monkeypatch.setattr(linear, "solve_overdetermined", counted)
+    monkeypatch.setattr(segre, "solve_overdetermined", counted)
+    new_model(2, 1, -1, 3)
+    assert calls == [5]
+    sampler = Sampler()
+    for d, pi, kappa, b2 in segre._FIT_TUPLES:
+        values = conjecture_series(d, pi, kappa, 4 + b2, 7)
+        for j in range(8):
+            sampler.store(j, (d, pi, kappa, b2), values.coefficient(j))
+    monkeypatch.setattr(segre, "segre_series", _no_sampling)
+    del calls[:]
+    assert segre.fit_dm_linear(7, sampler)[1:] == [KNOWN_DM[m] for m in range(1, 8)]
+    assert calls == [7]
 
 
 def _rank_deficient(rows, rhs):
     with pytest.raises(ValueError) as info:
-        solve_overdetermined(rows, rhs)
+        _solve(rows, rhs)
     assert not isinstance(info.value, InconsistentSamples)
     assert "rank deficient" in str(info.value)
 
@@ -714,7 +779,7 @@ def test_solver_skips_zero_column_exactly(system, data):
     i = data.draw(st.sampled_from(surplus_at))
     rhs[i] += 1
     with pytest.raises(InconsistentSamples):
-        solve_overdetermined(rows, rhs)
+        _solve(rows, rhs)
 
 
 def _bareiss_solve(rows, rhs):
@@ -800,19 +865,19 @@ def test_solver_agrees_with_bareiss_reference(system, data):
         i = data.draw(st.integers(0, len(rows) - 1))
         rhs[i] += data.draw(_rats.filter(bool))
     want = _outcome(_bareiss_solve, rows, rhs)
-    assert _outcome(solve_overdetermined, rows, rhs) == want
+    assert _outcome(_solve, rows, rhs) == want
 
 
 def test_solver_survives_an_unlucky_prime():
-    # modulo the prime p = 2^30 - 35, [[1, 1], [1, 1 + p]] and [[p]] lose
-    # rank; over the rationals they have full rank, and the row [2, 3]
-    # restores the rank modulo p
+    # exact over the rationals at a large pivot: for p = 2^30 - 35,
+    # [[1, 1], [1, 1 + p]] has determinant p and [[p]] inverts to 1/p; the
+    # row [2, 3] is a consistent surplus equation
     p = 2**30 - 35
     rows = [[Q(1), Q(1)], [Q(1), Q(1 + p)], [Q(2), Q(3)]]
     rhs = [Q(2), Q(2 + p), Q(5)]
-    assert solve_overdetermined(rows, rhs) == [1, 1]
-    assert solve_overdetermined(rows[:2], rhs[:2]) == [1, 1]
-    assert solve_overdetermined([[Q(p)]], [Q(3)]) == [Q(3, p)]
+    assert _solve(rows, rhs) == [1, 1]
+    assert _solve(rows[:2], rhs[:2]) == [1, 1]
+    assert _solve([[Q(p)]], [Q(3)]) == [Q(3, p)]
 
 
 def test_n8_by_interpolation(monkeypatch):

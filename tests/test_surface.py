@@ -53,12 +53,14 @@ def test_degenerate_pairing_rejected():
         (("h", "u1"), [[1, 0], [1, -1]], {}),
         (("h", "e1"), [[1, 0], [0, -1]], {}),
         (("h", "h"), [[1, 0], [0, -1]], {}),
+        (("h", "u1", "u01"), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], {}),
+        (("h", "u0"), [[1, 0], [0, -1]], {}),
         (("k", "u1"), [[1, 0], [0, -1]], {"k": 1}),
         (("h", "u1"), [[1, 0], [0, -1]], {"k": 1}),
         (("h", "u1"), [[1, 0], [0, -1]], {"pt": 1}),
     ],
     ids=["short", "not-square", "not-symmetric", "unknown-name", "repeated-name",
-         "no-h", "K-unknown-symbol", "K-point"],
+         "leading-zero", "u0", "no-h", "K-unknown-symbol", "K-point"],
 )
 def test_lattice_constructor_refuses_bad_input(names, gram, K):
     with pytest.raises(ValueError) as info:
