@@ -18,6 +18,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from math import factorial, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ENGINE_VERSION
@@ -55,14 +56,29 @@ class UnivPoly(Combination):
         return UnivPoly(data)
 
     def evaluate(self, d, pi, kappa, e) -> Q:
-        vals = tuple(rat(x) for x in (d, pi, kappa, e))
-        total = Q(0)
-        for ex, c in self.terms.items():
-            t = c
-            for v, p in zip(vals, ex):
-                t *= v**p
-            total += t
-        return total
+        """The value at a point of exact numbers; a float is refused.
+
+        The point is put over one denominator b and the coefficients over
+        their lcm, so each term is an int times b^(top - degree), from
+        integer power tables, and only the sum becomes a Fraction.
+        """
+        vals = [rat(x) for x in (d, pi, kappa, e)]
+        if not self.terms:
+            return Q(0)
+        b = lcm(*(x.denominator for x in vals))
+        t_d, t_pi, t_kappa, t_e = (
+            [(x.numerator * (b // x.denominator)) ** k for k in range(top_x + 1)]
+            for x, top_x in zip(vals, map(max, zip(*self.terms)))
+        )
+        top = max(map(sum, self.terms))
+        b_pow = [b**k for k in range(top + 1)]
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        total = sum(
+            c.numerator * (den // c.denominator) * b_pow[top - i - j - k - m]
+            * t_d[i] * t_pi[j] * t_kappa[k] * t_e[m]
+            for (i, j, k, m), c in self.terms.items()
+        )
+        return Q(total, den * b_pow[top])
 
     def is_linear(self) -> bool:
         return all(sum(ex) <= 1 for ex in self.terms)
@@ -159,12 +175,13 @@ class Sampler:
     Record lines that do not decode to a complete record, with JSON
     integers for ``n`` and ``b2_extra`` and JSON strings for the rationals,
     are skipped and counted in ``corrupt_lines``; a byte that is not UTF-8
-    spoils only its own line.  Each append holds an exclusive ``flock`` on
-    the file and checks the header under it, so several processes may
-    share one cache file.  The sampler reads no environment variable.  A
-    path that is a directory, or whose directory does not exist, is
-    refused with ValueError before anything is sampled.  ``jobs`` bounds
-    the number of worker processes of :meth:`fill`.
+    spoils only its own line.  Each append, of one point's new records,
+    holds an exclusive ``flock`` on the file and checks the header under
+    it, so several processes may share one cache file.  The sampler reads
+    no environment variable.  A path that is a directory, or whose
+    directory does not exist, is refused with ValueError before anything
+    is sampled.  ``jobs`` bounds the number of worker processes of
+    :meth:`fill`.
     """
 
     def __init__(self, cache_path: Optional[str] = None, jobs: int = 1):
@@ -209,9 +226,10 @@ class Sampler:
             except (KeyError, TypeError, ValueError, ArithmeticError):
                 self.corrupt_lines += 1
 
-    def _append(self, n: int, params: Params, value: Q) -> None:
+    def _append(self, params: Params, records: Sequence[Tuple[int, Q]]) -> None:
+        """Append the records (n, N_n) of one point under one lock."""
         path = self.cache_path
-        if not path:
+        if not path or not records:
             return
         with open(path, "a+", errors="replace") as fh:
             # the header is read under the lock, so that of two processes
@@ -222,32 +240,24 @@ class Sampler:
                 fh.truncate(0)
                 fh.write(json.dumps({"engine_version": ENGINE_VERSION}) + "\n")
             fh.seek(0, os.SEEK_END)
-            d, pi, kappa, b2 = params
-            fh.write(
-                json.dumps(
-                    {
-                        "n": n,
-                        "d": q_str(d),
-                        "pi": q_str(pi),
-                        "kappa": q_str(kappa),
-                        "b2_extra": b2,
-                        "value": q_str(value),
-                    }
-                )
-                + "\n"
-            )
+            (d, pi, kappa), b2 = map(q_str, params[:3]), params[3]
+            for n, value in records:
+                rec = {"n": n, "d": d, "pi": pi, "kappa": kappa, "b2_extra": b2, "value": q_str(value)}
+                fh.write(json.dumps(rec) + "\n")
 
     def store(self, n: int, params: Params, value: Q) -> None:
         key = (n, params)
         if key not in self._mem:
             self._mem[key] = value
-            self._append(n, params, value)
+            self._append(params, ((n, value),))
 
     def fill(self, n_max: int, points: Sequence[Params]) -> None:
         """Compute and store N_0 .. N_{n_max} at each point missing one.
 
         With ``self.jobs > 1`` and more than one point to compute, the
         chains run in a pool of at most one worker per point; else serially.
+        A point's new records are appended to the cache under one lock; the
+        orders it already held keep their values.
         """
         tasks = [(n_max, p) for p in points if not self._holds(n_max, p)]
         if self.jobs > 1 and len(tasks) > 1:
@@ -258,8 +268,9 @@ class Sampler:
         else:
             results = map(_series_worker, tasks)
         for params, values in results:
-            for j, v in enumerate(values):
-                self.store(j, params, v)
+            new = [(j, v) for j, v in enumerate(values) if (j, params) not in self._mem]
+            self._mem.update(((j, params), v) for j, v in new)
+            self._append(params, new)
 
     def _holds(self, n_max: int, p: Params) -> bool:
         """Whether N_0 .. N_n_max are all held at p."""
@@ -314,14 +325,21 @@ def sample_grid(n: int, count: int) -> List[Params]:
     return out
 
 
-def _divided_differences(v: List[Q], t: List[int]) -> None:
-    """Values v_k = f(t_k) to the Newton coefficients f[t_0..t_k], in place."""
+def _divided_differences(v: List[int], t: Sequence[int]) -> None:
+    """Integer values v_k = f(t_k) to the Newton coefficients f[t_0..t_k],
+    in place.  Each division must be exact: a nonzero remainder raises
+    ArithmeticError rather than being floored away.  ``t`` may hold more
+    nodes than ``v`` has values.
+    """
     for k in range(1, len(v)):
         for j in range(len(v) - 1, k - 1, -1):
-            v[j] = (v[j] - v[j - 1]) / (t[j] - t[j - k])
+            q, r = divmod(v[j] - v[j - 1], t[j] - t[j - k])
+            if r:
+                raise ArithmeticError("inexact divided difference at order %d" % k)
+            v[j] = q
 
 
-def _newton_to_monomial(c: List[Q], t: List[int]) -> None:
+def _newton_to_monomial(c: List[int], t: Sequence[int]) -> None:
     """sum_k c_k prod_(j<k) (x - t_j) to its coefficients of x^k, in place."""
     for k in range(len(c) - 2, -1, -1):
         for j in range(k, len(c) - 1):
@@ -336,18 +354,35 @@ def _lattice_interpolate(support: Sequence[Expo], values: Sequence[Q]) -> UnivPo
     time (Dyn-Floater, J. Approx. Theory 177, 2014): divided differences
     give the coefficients of the Newton basis prod_i prod_(j < k_i) (x_i -
     t_ij), then Horner's rule the monomial coefficients.
+
+    Both steps run on integer numerators over one denominator M, the lcm
+    of the value denominators times prod_i m_i!, m_i the largest exponent
+    of variable i in the support.  Lattice nodes are one step apart, so a
+    divided difference of order k divides by +-k, and the k! of each
+    variable divides M: every division is exact.  Each coefficient becomes
+    one Fraction(x, M) at the end.
     """
-    coef = {ex: Q(x) for ex, x in zip(support, values)}
+    top = [max(ex[var] for ex in support) for var in range(4)]
+    scale = lcm(*(x.denominator for x in values)) * prod(map(factorial, top))
+    coef = [x.numerator * (scale // x.denominator) for x in values]
+    # the lines of each variable, as indices into coef in increasing exponent
+    index = {ex: i for i, ex in enumerate(support)}
+    ordered = sorted(support)
+    lines = []
+    for var, (origin, stride) in enumerate(zip(_ORIGIN, _STEP)):
+        by_rest: Dict[tuple, List[int]] = {}
+        for ex in ordered:
+            by_rest.setdefault(ex[:var] + ex[var + 1:], []).append(index[ex])
+        nodes = [origin + stride * k for k in range(top[var] + 1)]
+        lines.append((list(by_rest.values()), nodes))
     for step in (_divided_differences, _newton_to_monomial):
-        for var, (origin, stride) in enumerate(zip(_ORIGIN, _STEP)):
-            lines: Dict[tuple, List[Expo]] = {}
-            for ex in sorted(support):
-                lines.setdefault(ex[:var] + ex[var + 1:], []).append(ex)
-            for line in lines.values():
-                v = [coef[ex] for ex in line]
-                step(v, [origin + stride * k for k in range(len(v))])
-                coef.update(zip(line, v))
-    return UnivPoly(coef)
+        for var_lines, nodes in lines:
+            for line in var_lines:
+                v = [coef[i] for i in line]
+                step(v, nodes)
+                for i, x in zip(line, v):
+                    coef[i] = x
+    return UnivPoly({ex: Q(x, scale) for ex, x in zip(support, coef) if x})
 
 
 #: Sample points beyond the support size: their equations certify the bound.

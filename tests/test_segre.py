@@ -168,6 +168,95 @@ def test_interpolate_at_rational_points():
     assert _general_fit(support, points, values) == poly
 
 
+def _fraction_divided_differences(v, t):
+    # the divided differences in Fraction arithmetic, as the package once
+    # computed them: a reference for the integer ones
+    for k in range(1, len(v)):
+        for j in range(len(v) - 1, k - 1, -1):
+            v[j] = (v[j] - v[j - 1]) / (t[j] - t[j - k])
+
+
+def _fraction_newton_to_monomial(c, t):
+    for k in range(len(c) - 2, -1, -1):
+        for j in range(k, len(c) - 1):
+            c[j] -= t[k] * c[j + 1]
+
+
+def _fraction_lattice_interpolate(support, values):
+    """The lattice interpolation line by line in Fractions, re-sorting the
+    support for each variable and step: a reference for the integer one."""
+    coef = {ex: Q(x) for ex, x in zip(support, values)}
+    for step in (_fraction_divided_differences, _fraction_newton_to_monomial):
+        for var, (origin, stride) in enumerate(zip(segre._ORIGIN, segre._STEP)):
+            lines = {}
+            for ex in sorted(support):
+                lines.setdefault(ex[:var] + ex[var + 1:], []).append(ex)
+            for line in lines.values():
+                v = [coef[ex] for ex in line]
+                step(v, [origin + stride * k for k in range(len(v))])
+                coef.update(zip(line, v))
+    return UnivPoly(coef)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_integer_interpolation_is_the_fraction_reference(n):
+    # seeded rational values with denominators up to 9, a fifth of them
+    # zero, the rest of either sign; then all-zero and all-integer values
+    support = support_monomials(n)
+    rng = random.Random(n)
+    for _ in range(5):
+        values = [
+            Q(rng.randint(-60, 60), rng.randint(1, 9)) if rng.random() > 0.2 else Q(0)
+            for _ in support
+        ]
+        assert segre._lattice_interpolate(support, values) == _fraction_lattice_interpolate(
+            support, values
+        )
+    assert segre._lattice_interpolate(support, [Q(0)] * len(support)) == UnivPoly()
+    ints = [rng.randint(-9, 9) for _ in support]
+    assert segre._lattice_interpolate(support, ints) == _fraction_lattice_interpolate(support, ints)
+
+
+def test_divided_differences_refuse_an_inexact_division():
+    # the exact case: f(x) = x^2 - 3 at nodes 4, 3, 2 (one step apart)
+    # has Newton coefficients 13, 7, 1
+    v = [13, 6, 1]
+    segre._divided_differences(v, [4, 3, 2])
+    assert v == [13, 7, 1]
+    # 1/2 and -1/3 have no integer value: no floor may stand in for them
+    for v, t in (([0, 1], [0, 2]), ([0, 1], [0, -2]), ([0, 0, 1], [0, 1, 2])):
+        with pytest.raises(ArithmeticError):
+            segre._divided_differences(list(v), t)
+
+
+def _naive_evaluate(poly, point):
+    # one Fraction product per term
+    return sum(
+        (c * prod(Q(x) ** k for x, k in zip(point, ex)) for ex, c in poly.terms.items()), Q(0)
+    )
+
+
+def test_evaluate_is_the_naive_fraction_sum():
+    rng = random.Random(17)
+    support = support_monomials(6)
+    coordinates = [0, 1, -1, 3, -7, Q(1, 2), Q(-5, 3), Q(7, 9), Q(-4, 5), Q(0, 7)]
+    for _ in range(60):
+        poly = UnivPoly(
+            {ex: Q(rng.randint(-40, 40), rng.randint(1, 12)) for ex in rng.sample(support, 9)}
+        )
+        point = tuple(rng.choice(coordinates) for _ in range(4))
+        got = poly.evaluate(*point)
+        assert type(got) is Q and got == _naive_evaluate(poly, point), (poly, point)
+    # zero and constant polynomials, and every coordinate of one
+    assert UnivPoly({(0, 0, 0, 0): Q(-3, 4)}).evaluate(0, 0, 0, 0) == Q(-3, 4)
+    assert UnivPoly({(1, 0, 0, 1): 2}).evaluate(Q(1, 2), 9, 9, Q(-2, 3)) == Q(-2, 3)
+    empty = UnivPoly().evaluate(Q(1, 3), 2, 0, -1)
+    assert type(empty) is Q and empty == 0
+    for poly in (UnivPoly(), n2_poly()):
+        with pytest.raises(TypeError, match="float"):
+            poly.evaluate(1, 0.5, 0, 4)
+
+
 def test_support_monomials():
     monos = support_monomials(2)
     assert len(monos) == 9
@@ -362,6 +451,34 @@ def test_fill_computes_only_the_points_missing_an_order(tmp_path, monkeypatch):
         s.fill(3, [full])
         assert computed == [(2, gap), (3, full)]
         assert s.series(3, full) == [Q(0), Q(1), Q(2), Q(7)]
+
+
+def test_fill_appends_each_point_under_one_lock(tmp_path, monkeypatch):
+    # one exclusive lock per point filled, however many orders it adds,
+    # and the records read back as stored; store takes one per record
+    path = str(tmp_path / "cache.jsonl")
+    sampler = Sampler(path)
+    points = [(1, 0, -1, 0), (2, 1, -1, 1)]
+    sampler.store(1, points[1], Q(1))
+    flock = segre.fcntl.flock
+    modes = []
+
+    def counting_flock(fh, mode):
+        modes.append(mode)
+        return flock(fh, mode)
+
+    monkeypatch.setattr(segre.fcntl, "flock", counting_flock)
+    sampler.fill(3, points)
+    assert modes == [segre.fcntl.LOCK_EX] * 2
+    sampler.store(4, points[0], Q(5))
+    assert modes == [segre.fcntl.LOCK_EX] * 3
+    monkeypatch.undo()
+    loaded = Sampler(path)
+    assert loaded.corrupt_lines == 0
+    assert loaded._mem == sampler._mem
+    assert len(loaded._mem) == 9
+    with open(path) as fh:
+        assert len(fh.read().splitlines()) == 1 + 9
 
 
 def test_cache_version_mismatch_ignored(tmp_path):
