@@ -62,13 +62,6 @@ def _rat_arg(text: str) -> Q:
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
 
 
-def _jobs_arg(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
-    return n
-
-
 def _emit(command: str, parameters: dict, result, ok: bool = True) -> None:
     doc = {
         "engine_version": ENGINE_VERSION,
@@ -169,13 +162,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--symbolic", action="store_true")
     _model_args(p)
-    p.add_argument("--jobs", type=_jobs_arg, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     _cache_arg(p)
     p.set_defaults(func=_cmd_segre)
 
     p = sub.add_parser("dm", help="log-series coefficients")
     p.add_argument("--max-m", type=int, default=5)
-    p.add_argument("--jobs", type=_jobs_arg, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     _cache_arg(p)
     p.set_defaults(func=_cmd_dm)
 
@@ -230,9 +223,11 @@ def _cmd_dm(args) -> int:
     _check_weight(args.max_m, args.max_weight, least=1)
     sampler = Sampler(args.cache, args.jobs)
     symbolic_up_to = min(args.max_m, 5)
-    polys = [segre_polynomial(n, sampler) for n in range(symbolic_up_to + 1)]
-    # the fit gives d_1..d_min(m, 5) a second time, which must agree
+    # highest order first: the sampler computes each point once, at the
+    # highest order asked of it; the fit gives d_1..d_min(m, 5) a second
+    # time, which must agree
     fitted = fit_dm_linear(args.max_m, sampler)
+    polys = [segre_polynomial(n, sampler) for n in range(symbolic_up_to, -1, -1)][::-1]
     dms = dm_coefficients(polys) + fitted[symbolic_up_to + 1:]
     rows = []
     all_match = True

@@ -163,16 +163,12 @@ class Combination:
 
     def __add__(self, other):
         data = dict(self.terms)
-        for k, c in other.terms.items():
-            y = data.get(k)
-            data[k] = c if y is None else y + c
+        axpy(data, other.terms, 1)
         return type(self)(data)
 
     def __sub__(self, other):
         data = dict(self.terms)
-        for k, c in other.terms.items():
-            y = data.get(k)
-            data[k] = -c if y is None else y - c
+        axpy(data, other.terms, -1)
         return type(self)(data)
 
     def __neg__(self):

@@ -39,7 +39,8 @@ columns, built from a cut-table entry c/2 and two oscillators, are over
 ``_Lden = _den * _qden**2``, and a q' column, [D, q_n(s)], is over
 ``_den * _qden``.  Monomial tuples and ``Fraction``s
 appear only at the public operators, which convert a :class:`FockVector`
-in and out once per call.
+in and out once per call; ``vertex`` and ``chern_char_class`` are sums
+of the vectors that ``q`` and the kernel return.
 The derivatives ad^nu(q_n) and the Chern class operators act on
 whole vectors through one integer kernel, :meth:`OperatorEngine._ad_series`,
 which sums Horner's rule into one integer accumulator over a denominator
@@ -57,7 +58,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .fock import FockVector, Monomial, mono_degree, mono_insert, mono_weight, vacuum
-from .linear import IntVec, axpy, int_apply, int_reduce, int_vec
+from .linear import IntVec, int_apply, int_reduce, int_vec
 from .surface import CohClass, KClassSpec, SurfaceModel
 
 Q = Fraction
@@ -494,35 +495,26 @@ class OperatorEngine:
         q_1(1) to peel the fundamental class q_1(1)^n / n! of the weight-n
         space one factor at a time.  The commutator is
         ``sum over nu of ad^nu(q_1(ch(u))) / nu!``, i.e.
-        ``exp(D) q_1(ch(u)) exp(-D)`` with D the boundary operator.
+        ``exp(D) q_1(ch(u)) exp(-D)`` with D the boundary operator, one
+        :meth:`_ad_series` pass on w = q_1(1)^j |0> per factor.
         """
-        series = [
-            (lambda nu: Q(1, factorial(nu)), u.chern_character(self.model).terms)
-        ]
-        (one,) = self.model.unit().terms
-        up = self._ins[1, one]  # q_1(1), a relabelling
-        g: Dict[int, Q] = {}
-        w = self._ids[()]  # the id of q_1(1)^j |0>
+        series = [(lambda nu: Q(1, factorial(nu)), u.chern_character(self.model).terms)]
+        unit = self.model.unit()
+        g, w = FockVector(), vacuum()
         for _ in range(n):
-            g = {up[i]: c for i, c in g.items()}
-            num, den = self._ad_series(1, series, ({w: 1}, 1))
-            axpy(g, num, Q(1, den * factorial(n)))
-            w = up[w]
-        return FockVector({self._monos[i]: c for i, c in g.items()})
+            g = self.q(1, unit, g) + self._out(self._ad_series(1, series, self._in(w)))
+            w = self.q(1, unit, w)
+        return g.scale(Q(1, factorial(n)))
 
     # -- vertex operator ---------------------------------------------------
 
     def vertex(self, gamma: CohClass, n_max: int) -> List[FockVector]:
-        """Components of exp(sum over n of (-1)^(n-1)/n q_n(gamma)) applied
-        to the vacuum, for weights 0 .. n_max."""
-        comps: List[Dict[int, Q]] = [{self._ids[()]: Q(1)}]
+        """Components S_0 .. S_n_max of exp(sum over n of (-1)^(n-1)/n
+        q_n(gamma)) applied to the vacuum, by the recursion S_m = sum over
+        j of (-1)^(j-1)/m q_j(gamma) S_(m-j); D is never read."""
+        comps = [vacuum()]
         for m in range(1, n_max + 1):
-            acc: Dict[int, Q] = {}
-            for j in range(1, m + 1):
-                for sym, cg in gamma.terms.items():
-                    ins = self._ins[j, sym]
-                    created = {ins[i]: c for i, c in comps[m - j].items()}
-                    axpy(acc, created, (-1) ** (j - 1) * cg)
-            comps.append({i: c / m for i, c in acc.items()})
-        monos = self._monos
-        return [FockVector({monos[i]: c for i, c in comp.items()}) for comp in comps]
+            terms = (self.q(j, gamma, comps[m - j]).scale(Q((-1) ** (j - 1), m))
+                     for j in range(1, m + 1))
+            comps.append(sum(terms, FockVector()))
+        return comps

@@ -136,6 +136,8 @@ def segre_series(n_max: int, model: SurfaceModel) -> List[Q]:
     ``integrate_hilb`` reads only q_1(pt)^n, of degree 4n, so the last
     weight step forms only the degree-4n part.
     """
+    if n_max < 0:
+        raise ValueError("order must be nonnegative, got %d" % n_max)
     engine, u = OperatorEngine(model), minus_polarization(model)
     comps = engine.total_chern_classes(u, max(n_max - 1, 0))
     if n_max > 0:
@@ -173,18 +175,22 @@ class Sampler:
     that new records are not appended below the stale header and lost on
     reload.
     Record lines that do not decode to a complete record, with JSON
-    integers for ``n`` and ``b2_extra`` and JSON strings for the rationals,
-    are skipped and counted in ``corrupt_lines``; a byte that is not UTF-8
+    integers for ``n`` (at least 0) and ``b2_extra`` and JSON strings for
+    the rationals, are skipped and counted in ``corrupt_lines``; a byte that is not UTF-8
     spoils only its own line.  Each append, of one point's new records,
     holds an exclusive ``flock`` on the file and checks the header under
     it, so several processes may share one cache file.  The sampler reads
     no environment variable.  A path that is a directory, or whose
     directory does not exist, is refused with ValueError before anything
     is sampled.  ``jobs`` bounds the number of worker processes of
-    :meth:`fill`.
+    :meth:`fill`; it must be an int (not a bool) of at least 1, or
+    ValueError is raised.  A negative order is refused with ValueError by
+    :meth:`fill`, so by every request.
     """
 
     def __init__(self, cache_path: Optional[str] = None, jobs: int = 1):
+        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+            raise ValueError("jobs must be an int of at least 1, got %r" % (jobs,))
         self.cache_path = cache_path
         self.jobs = jobs
         self._mem: Dict[Tuple[int, Params], Q] = {}
@@ -219,6 +225,8 @@ class Sampler:
                 t_d, t_pi, t_kappa = map(type, raw[:3])
                 if not (type(n) is type(b2) is int and t_d is t_pi is t_kappa is type(value) is str):
                     raise TypeError("need JSON integers n and b2_extra, and strings")
+                if n < 0:
+                    raise ValueError("negative order %d" % n)
                 params = parsed.get(raw)
                 if params is None:
                     params = parsed[raw] = (*map(_coordinate, raw[:3]), b2)
@@ -259,6 +267,8 @@ class Sampler:
         A point's new records are appended to the cache under one lock; the
         orders it already held keep their values.
         """
+        if n_max < 0:
+            raise ValueError("order must be nonnegative, got %d" % n_max)
         tasks = [(n_max, p) for p in points if not self._holds(n_max, p)]
         if self.jobs > 1 and len(tasks) > 1:
             import multiprocessing
@@ -310,6 +320,8 @@ def sample_grid(n: int, count: int) -> List[Params]:
     As d kappa < 0 <= pi^2 no lattice model is degenerate, and the lattice
     of n lies in that of n + 1.
     """
+    if n < 0:
+        raise ValueError("order must be nonnegative, got %d" % n)
     lattice = []
     for ex in support_monomials(n):
         d, pi, kappa, e = (o + s * k for o, s, k in zip(_ORIGIN, _STEP, ex))

@@ -142,6 +142,23 @@ def test_dm_cross_checks_the_fit(capsys, monkeypatch):
         assert doc["result"][2]["d_m"] == KNOWN_DM[3].render()
 
 
+def test_cold_dm_computes_each_point_once(capsys, monkeypatch):
+    # the fit and N_5 .. N_0 are asked for highest order first, so the
+    # sampler computes each point once, at the highest order asked of it
+    monkeypatch.delenv("HILB_CACHE", raising=False)
+    points = []
+    worker = segre._series_worker
+
+    def counting(args):
+        points.append(args[1])
+        return worker(args)
+
+    monkeypatch.setattr(segre, "_series_worker", counting)
+    code, _ = run_cli(capsys, "dm", "--max-m", "5")
+    assert code == 0
+    assert len(points) == len(set(points))
+
+
 def test_conjecture(capsys):
     code, out = run_cli(
         capsys,

@@ -723,6 +723,42 @@ def test_pool_has_no_more_workers_than_missing_samples(monkeypatch):
         assert sampler.series(2, params) == segre_series(2, new_model(*params))
 
 
+@pytest.mark.parametrize("jobs", [0, -3, True, 2.5, "2"])
+def test_sampler_refuses_a_bad_worker_count(jobs):
+    # the worker count is checked where it is kept, not first by the pool
+    with pytest.raises(ValueError, match="jobs"):
+        Sampler(jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: segre_series(-1, new_model(*p)),
+        lambda p: segre_polynomial(-1),
+        lambda p: sample_grid(-1, 3),
+        lambda p: Sampler().value(-1, p),
+        lambda p: Sampler().series(-2, p),
+    ],
+    ids=["segre_series", "segre_polynomial", "sample_grid", "value", "series"],
+)
+def test_negative_order_is_refused(call):
+    with pytest.raises(ValueError, match="nonnegative"):
+        call((1, 0, -1, 0))
+
+
+def test_cached_negative_order_is_a_corrupt_line(tmp_path):
+    # a cache cannot make a request of a negative order answer
+    path = str(tmp_path / "cache.jsonl")
+    rec = {"n": -1, "d": "1/1", "pi": "0/1", "kappa": "-1/1", "b2_extra": 0, "value": "5/1"}
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"engine_version": ENGINE_VERSION}) + "\n")
+        fh.write(json.dumps(rec) + "\n")
+    s = Sampler(path)
+    assert s.corrupt_lines == 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        s.value(-1, (1, 0, -1, 0))
+
+
 def _no_sampling(*args, **kwargs):
     raise AssertionError("segre_series was called")
 
